@@ -193,7 +193,7 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     """Splitting-principle computation of c_(d+1)(Sym^d F).
 
     Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots and rewrites
-    the result in e1, e2 by repeated division, asserting a zero remainder.
+    the result in e1, e2 by repeated division, checking for a zero remainder.
     """
     if d < 1:
         raise ValueError("symmetric power exponent must be >= 1")
@@ -215,7 +215,7 @@ def _elementary_rewrite(xy: Mapping) -> dict:
     Standard leading-term elimination: peel off c * e1^(i-j) * e2^j at the
     lex-leading monomial x^i y^j until nothing remains.  A leading monomial
     with i < j, or a nonzero remainder, would mean the input was not
-    symmetric; both are impossible here and are asserted.
+    symmetric; both are impossible here and raise ArithmeticError.
     """
     work = dict(xy)
     out: dict = {}
@@ -226,7 +226,8 @@ def _elementary_rewrite(xy: Mapping) -> dict:
         c = work[(i, j)]
         for k in range(i - j + 1):
             _bump(work, (j + k, i - k), -c * comb(i - j, k))
-        assert (i, j) not in work
+        if (i, j) in work:
+            raise ArithmeticError("leading term x^%d y^%d survived elimination" % (i, j))
         _bump(out, (i - j, j), c)
     return out
 

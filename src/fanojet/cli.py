@@ -1,8 +1,9 @@
 """Command-line front end: human-readable or JSON reports for every module.
 
 All integers in JSON payloads are serialized as decimal strings so that
-arbitrary-precision values survive any JSON reader.  Exit code 0 on success,
-2 on input errors.
+arbitrary-precision values survive any JSON reader.  Exit codes: 0 on
+success, 1 when a consistency check fails (`catalog verify`, or an internal
+cross-check such as closed form against oracle), 2 on input errors.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import bounds as bounds_mod
@@ -43,29 +45,39 @@ CITE_CATALOG = "classification of pairs with k-very ample polarization, k >= 2"
 CITE_SPLITTING = "splitting principle: Sym^d of roots {x, y} has roots t*x + (d-t)*y"
 
 
-def _s(value: int) -> str:
-    return str(int(value))
+def _encode(value):
+    """JSON form of a report value: every int except a bool becomes a decimal string."""
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(item) for item in value]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value)
+    return value
 
 
-def _opt(value) -> str | None:
-    return None if value is None else _s(value)
+def _emit(args, command: str, inputs: dict, result: dict, citations: list[str],
+          text: list[str], notes: tuple[str, ...] = ()) -> None:
+    """Print one report: the JSON envelope under --json, else the text lines and notes."""
+    if args.json:
+        report = {"command": command, "inputs": inputs, "result": result, "citations": citations}
+        if notes:
+            report["notes"] = list(notes)
+        print(json.dumps(_encode(report), indent=2))
+    else:
+        for line in text + ["note: %s" % note for note in notes]:
+            print(line)
 
 
 def _line_count_payload(lc: LineCount) -> dict:
-    out: dict = {"kind": lc.kind}
-    if lc.kind == "finite":
-        out["count"] = _s(lc.count)
-    elif lc.kind == "family":
-        out["family_dim"] = _s(lc.family_dim)
-        out["nonempty"] = bool(lc.nonempty)
-    return out
+    return {key: value for key, value in asdict(lc).items() if value is not None}
 
 
 def _chern_terms(poly) -> list[dict]:
-    out = []
-    for (i, j) in sorted(poly.terms, key=lambda key: (-key[0], -key[1])):
-        out.append({"c1_exp": _s(i), "c2_exp": _s(j), "coeff": _s(poly.terms[(i, j)])})
-    return out
+    return [
+        {"c1_exp": i, "c2_exp": j, "coeff": poly.terms[(i, j)]}
+        for (i, j) in sorted(poly.terms, key=lambda key: (-key[0], -key[1]))
+    ]
 
 
 def _parse_degrees(text: str | None) -> tuple[int, ...]:
@@ -80,66 +92,35 @@ def _parse_degrees(text: str | None) -> tuple[int, ...]:
     return values
 
 
-def _emit(report: dict, as_json: bool, text_lines: list[str]) -> None:
-    if as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _cmd_lines(args) -> int:
     degrees = _parse_degrees(args.degrees)
     if not degrees:
         raise ValueError("at least one hypersurface degree is required")
     ci = CompleteIntersection(args.ambient, degrees)
-    result = count_lines(ci)
+    count = count_lines(ci)
     through = line_family_through_point(ci)
     delta = expected_family_dimension(ci)
-    report = {
-        "command": "lines",
-        "inputs": {"ambient": _s(ci.N), "degrees": [_s(d) for d in ci.degrees]},
-        "result": {
-            "expected_family_dim": _s(delta),
-            "line_count": _line_count_payload(result),
-            "family_through_point": _opt(through),
-        },
-        "citations": [CITE_LINE_COUNT, CITE_LINE_CRITERION, CITE_THROUGH_POINT],
-        "notes": [GENERICITY_NOTE],
-    }
     text = [
         "lines on a generic %s" % ci,
         "expected family dimension: %d" % delta,
-        "result: %s" % result,
+        "result: %s" % count,
     ]
     if through is not None:
         text.append("lines through a general point: %d-dimensional" % through)
-    text.append("note: %s" % GENERICITY_NOTE)
-    _emit(report, args.json, text)
+    inputs = {"ambient": ci.N, "degrees": ci.degrees}
+    result = {
+        "expected_family_dim": delta,
+        "line_count": _line_count_payload(count),
+        "family_through_point": through,
+    }
+    citations = [CITE_LINE_COUNT, CITE_LINE_CRITERION, CITE_THROUGH_POINT]
+    _emit(args, "lines", inputs, result, citations, text, notes=(GENERICITY_NOTE,))
     return 0
 
 
 def _cmd_fano_ci(args) -> int:
     ci = CompleteIntersection(args.ambient, _parse_degrees(args.degrees))
     rep = analyze(ci)
-    report = {
-        "command": "fano-ci",
-        "inputs": {"ambient": _s(ci.N), "degrees": [_s(d) for d in ci.degrees]},
-        "result": {
-            "is_fano": rep.is_fano,
-            "dim": _s(rep.dim),
-            "jet_order": _opt(rep.jet_order),
-            "not_spanned_order": _opt(rep.not_spanned_order),
-            "contains_line": rep.contains_line,
-            "line_family": _line_count_payload(rep.line_family),
-            "family_through_point": _opt(rep.family_through_point),
-            "anticanonical_degree": _s(rep.anticanonical_degree),
-            "curve_exception": rep.curve_exception,
-            "formula_extrapolated": rep.formula_extrapolated,
-        },
-        "citations": [CITE_JET_ORDER, CITE_NOT_SPANNED, CITE_LINE_CRITERION],
-        "notes": [GENERICITY_NOTE],
-    }
     text = ["X = %s, dim %d" % (ci, rep.dim)]
     if rep.is_fano:
         text.append("Fano: yes (sum of degrees %d <= %d)" % (ci.degree_sum, ci.N))
@@ -162,49 +143,38 @@ def _cmd_fano_ci(args) -> int:
     text.append("line family: %s" % rep.line_family)
     if rep.family_through_point is not None:
         text.append("lines through a general point: %d-dimensional" % rep.family_through_point)
-    text.append("note: %s" % GENERICITY_NOTE)
-    _emit(report, args.json, text)
+    inputs = {"ambient": ci.N, "degrees": ci.degrees}
+    result = asdict(rep)
+    result["line_family"] = _line_count_payload(rep.line_family)
+    citations = [CITE_JET_ORDER, CITE_NOT_SPANNED, CITE_LINE_CRITERION]
+    _emit(args, "fano-ci", inputs, result, citations, text, notes=(GENERICITY_NOTE,))
     return 0
 
 
 def _cmd_bounds(args) -> int:
-    citations = [CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BORDERLINE]
     deg_floor = bounds_mod.min_degree(args.dim, args.order)
     sec_floor = bounds_mod.min_sections(args.dim, args.order)
     if args.degree is None and args.h0 is not None:
         raise ValueError("--h0 requires --degree")
-    if args.degree is None:
-        verdict = None
-        result = {
-            "min_degree": _s(deg_floor),
-            "min_sections": _s(sec_floor),
-            "degree_ok": None,
-            "sections_ok": None,
-            "borderline_consistent": True,
-            "ok": True,
-            "failures": [],
-        }
-        text = [
-            "n = %d, k = %d: require L^n >= %d and h0(L) >= %d"
-            % (args.dim, args.order, deg_floor, sec_floor)
-        ]
-    else:
+    text = [
+        "n = %d, k = %d: require L^n >= %d and h0(L) >= %d"
+        % (args.dim, args.order, deg_floor, sec_floor)
+    ]
+    # Without --degree there is nothing to check, and these values stand.
+    result = {
+        "min_degree": deg_floor,
+        "min_sections": sec_floor,
+        "degree_ok": None,
+        "sections_ok": None,
+        "borderline_consistent": True,
+        "ok": True,
+        "failures": (),
+    }
+    if args.degree is not None:
         inv = bounds_mod.PolarizedInvariants(args.dim, args.order, args.degree, args.h0)
         verdict = bounds_mod.check(inv)
-        result = {
-            "min_degree": _s(deg_floor),
-            "min_sections": _s(sec_floor),
-            "degree_ok": verdict.degree_ok,
-            "sections_ok": verdict.sections_ok,
-            "borderline_consistent": verdict.borderline_consistent,
-            "ok": verdict.ok,
-            "failures": list(verdict.failures),
-        }
-        text = [
-            "n = %d, k = %d: require L^n >= %d and h0(L) >= %d"
-            % (args.dim, args.order, deg_floor, sec_floor),
-            "degree %d: %s" % (args.degree, "ok" if verdict.degree_ok else "FAIL"),
-        ]
+        result.update(asdict(verdict), ok=verdict.ok)
+        text.append("degree %d: %s" % (args.degree, "ok" if verdict.degree_ok else "FAIL"))
         if args.h0 is not None:
             text.append("h0 %d: %s" % (args.h0, "ok" if verdict.sections_ok else "FAIL"))
         if not verdict.borderline_consistent:
@@ -212,49 +182,23 @@ def _cmd_bounds(args) -> int:
         text.append("verdict: %s" % ("pass" if verdict.ok else "fail"))
         for failure in verdict.failures:
             text.append("  violated: %s" % failure)
-    report = {
-        "command": "bounds",
-        "inputs": {
-            "dim": _s(args.dim),
-            "order": _s(args.order),
-            "degree": _opt(args.degree),
-            "h0": _opt(args.h0),
-        },
-        "result": result,
-        "citations": citations,
-    }
-    _emit(report, args.json, text)
+    inputs = {"dim": args.dim, "order": args.order, "degree": args.degree, "h0": args.h0}
+    citations = [CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BORDERLINE]
+    _emit(args, "bounds", inputs, result, citations, text)
     return 0
 
 
 def _cmd_catalog(args) -> int:
     if args.action == "verify":
         outcome = catalog_mod.verify_all()
-        report = {
-            "command": "catalog-verify",
-            "inputs": {},
-            "result": {
-                "checked": _s(outcome.checked),
-                "ok": outcome.ok,
-                "failures": list(outcome.failures),
-            },
-            "citations": [CITE_CATALOG, CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BOX_ORDER],
-        }
         text = ["verified %d catalog entries: %s" % (outcome.checked, "all consistent" if outcome.ok else "FAILURES")]
         for failure in outcome.failures:
             text.append("  %s" % failure)
-        _emit(report, args.json, text)
+        result = {"checked": outcome.checked, "ok": outcome.ok, "failures": outcome.failures}
+        citations = [CITE_CATALOG, CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BOX_ORDER]
+        _emit(args, "catalog-verify", {}, result, citations, text)
         return 0 if outcome.ok else 1
     rows = catalog_mod.entries(n=args.dim, k=args.k)
-    report = {
-        "command": "catalog",
-        "inputs": {"dim": _opt(args.dim), "k": _opt(args.k)},
-        "result": {
-            "count": _s(len(rows)),
-            "entries": catalog_mod.catalog_as_dicts(rows),
-        },
-        "citations": [CITE_CATALOG],
-    }
     text = ["%d entries" % len(rows)]
     for e in rows:
         line = "%-9s n=%d k=%d deg=%-3d h0=%-3d %s" % (
@@ -268,42 +212,30 @@ def _cmd_catalog(args) -> int:
         if e.flag:
             line += " [%s]" % e.flag
         text.append(line)
-    _emit(report, args.json, text)
+    result = {"count": len(rows), "entries": catalog_mod.catalog_as_dicts(rows)}
+    _emit(args, "catalog", {"dim": args.dim, "k": args.k}, result, [CITE_CATALOG], text)
     return 0
 
 
 def _cmd_adjunction(args) -> int:
     cases = catalog_mod.adjunction_cases(args.dim, args.order)
-    report = {
-        "command": "adjunction",
-        "inputs": {"dim": _s(args.dim), "order": _s(args.order)},
-        "result": {
-            "cases": [
-                {
-                    "case_id": c.case_id,
-                    "constraints": c.constraints,
-                    "description": c.description,
-                }
-                for c in cases
-            ]
-        },
-        "citations": [CITE_NEFVALUE, CITE_CATALOG],
-    }
     text = ["possible structures for n = %d, k = %d:" % (args.dim, args.order)]
     for c in cases:
         text.append("  case %s (%s): %s" % (c.case_id, c.constraints, c.description))
-    _emit(report, args.json, text)
+    result = {
+        "cases": [
+            {"case_id": c.case_id, "constraints": c.constraints, "description": c.description}
+            for c in cases
+        ]
+    }
+    inputs = {"dim": args.dim, "order": args.order}
+    _emit(args, "adjunction", inputs, result, [CITE_NEFVALUE, CITE_CATALOG], text)
     return 0
 
 
 def _cmd_chern(args) -> int:
     poly = sym_top_chern(args.sym)
-    result: dict = {
-        "sym": _s(args.sym),
-        "top_chern": str(poly),
-        "terms": _chern_terms(poly),
-    }
-    citations = [CITE_SPLITTING]
+    result: dict = {"sym": args.sym, "top_chern": str(poly), "terms": _chern_terms(poly)}
     text = ["top Chern class of Sym^%d F: %s" % (args.sym, poly)]
     if args.paper_formula:
         alt = sym_top_chern_paper(args.sym)
@@ -315,13 +247,8 @@ def _cmd_chern(args) -> int:
         }
         text.append("printed closed-form variant (boundary (d+1)^2): %s" % alt)
         text.append("variant = %s * canonical (exact scalar)" % ratio)
-    report = {
-        "command": "chern",
-        "inputs": {"sym": _s(args.sym), "paper_formula": bool(args.paper_formula)},
-        "result": result,
-        "citations": citations,
-    }
-    _emit(report, args.json, text)
+    inputs = {"sym": args.sym, "paper_formula": args.paper_formula}
+    _emit(args, "chern", inputs, result, [CITE_SPLITTING], text)
     return 0
 
 
@@ -336,13 +263,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lines", help="count lines on a generic complete intersection")
     p.add_argument("--ambient", type=int, required=True, metavar="N")
     p.add_argument("--degrees", required=True, metavar="d1,d2,...")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lines)
 
     p = sub.add_parser("fano-ci", help="embedding order of -K on a complete intersection")
     p.add_argument("--ambient", type=int, required=True, metavar="N")
     p.add_argument("--degrees", default="", metavar="d1,d2,...")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fano_ci)
 
     p = sub.add_parser("bounds", help="degree/section floors for a k-very ample bundle")
@@ -350,20 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, required=True, metavar="k")
     p.add_argument("--degree", type=int, default=None, metavar="D")
     p.add_argument("--h0", type=int, default=None, metavar="H")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("catalog", help="list or verify the classification catalog")
     p.add_argument("action", nargs="?", choices=["list", "verify"], default="list")
     p.add_argument("--k", type=int, default=None, help="filter on k_very_ample")
     p.add_argument("--dim", type=int, default=None, help="filter on dimension")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("adjunction", help="adjunction outcomes admitting (n, k)")
     p.add_argument("--dim", type=int, required=True, metavar="n")
     p.add_argument("--order", type=int, required=True, metavar="k")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_adjunction)
 
     p = sub.add_parser("chern", help="top Chern class of Sym^d of the rank-2 bundle")
@@ -374,9 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the printed closed-form variant with boundary "
         "coefficient (d+1)^2 and its exact ratio to the canonical class",
     )
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_chern)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
@@ -389,9 +312,12 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, AssertionError) as exc:
+    except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except (AssertionError, ArithmeticError) as exc:
+        print("internal check failed: %s" % exc, file=sys.stderr)
+        return 1
 
 
 def main() -> None:

@@ -23,13 +23,20 @@ from .schubert import CohomologyElement, from_chern_poly, integrate, mul
 
 @dataclass(frozen=True)
 class CompleteIntersection:
-    """Ambient P^N cut by hypersurfaces of the given degrees (r may be 0)."""
+    """Ambient P^N cut by hypersurfaces of the given degrees (r may be 0).
+
+    N and the degrees must be ints; a float, a string or a bool raises
+    TypeError rather than being coerced.
+    """
 
     N: int
     degrees: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        for value in (self.N, *self.degrees):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError("N and the degrees must be ints, got %r" % (value,))
         if self.N < 1:
             raise ValueError("ambient dimension N must be >= 1")
         if any(d < 1 for d in self.degrees):

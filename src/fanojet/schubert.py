@@ -27,6 +27,8 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple
 from types import MappingProxyType
 
+from .chern import _bump
+
 
 class SchubertClass(NamedTuple):
     """Basis class sigma(a, b) with a >= b >= 0, of codimension a + b."""
@@ -53,14 +55,6 @@ def _as_class(key) -> SchubertClass:
     return cls
 
 
-def _bump(acc: dict, key, value: int) -> None:
-    total = acc.get(key, 0) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
-
-
 def _pieri_one(m: int, terms: Mapping) -> dict:
     """Multiply a term dict by sigma(1, 0), truncating at the ambient."""
     out: dict = {}
@@ -69,15 +63,6 @@ def _pieri_one(m: int, terms: Mapping) -> dict:
             _bump(out, (a + 1, b), c)
         if b + 1 <= a:
             _bump(out, (a, b + 1), c)
-    return out
-
-
-def _pieri_one_one(m: int, terms: Mapping) -> dict:
-    """Multiply a term dict by sigma(1, 1)."""
-    out: dict = {}
-    for (a, b), c in terms.items():
-        if a + 1 <= m - 2:
-            out[(a + 1, b + 1)] = c
     return out
 
 
@@ -106,7 +91,7 @@ def _mul_basis(m: int, terms: Mapping, a: int, b: int) -> dict:
     out = _pieri_one(m, cur)
     for _ in range(k - 1):
         nxt = _pieri_one(m, out)
-        for key, c in _pieri_one_one(m, prev).items():
+        for key, c in _shift(m, prev, 1).items():
             _bump(nxt, key, -c)
         prev, out = out, nxt
     return out

@@ -163,3 +163,15 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_missing_required_flag_exits_2(capsys):
     assert run(["lines", "--ambient", "4"]) == 2
+
+
+@pytest.mark.parametrize("error", [AssertionError, ArithmeticError])
+def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
+    def failing_check(ci):
+        raise error("criterion and class disagree")
+
+    monkeypatch.setattr("fanojet.cli.count_lines", failing_check)
+    assert run(["lines", "--ambient", "4", "--degrees", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal check failed: criterion and class disagree\n"

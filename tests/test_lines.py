@@ -182,6 +182,21 @@ def test_complete_intersection_validation():
     assert str(ci(4)) == "P^4"
 
 
+@pytest.mark.parametrize(
+    "N,degrees",
+    [
+        (4, (2.7,)),    # once truncated to CI(2) in P^4
+        (4, (True,)),   # once read as degree 1
+        (4.5, (3,)),    # once printed as CI(3) in P^4
+        (True, ()),
+        (4, ("3",)),
+    ],
+)
+def test_complete_intersection_rejects_non_int(N, degrees):
+    with pytest.raises(TypeError):
+        CompleteIntersection(N, degrees)
+
+
 def test_line_count_factories():
     with pytest.raises(ValueError):
         LineCount.finite(-1)
