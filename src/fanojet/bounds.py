@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .chern import _strict_int
+
 
 @dataclass(frozen=True)
 class PolarizedInvariants:
-    """Dimension n, claimed order k, degree L^n, and optionally h^0(L)."""
+    """Dimension n, claimed order k, degree L^n, and optionally h^0(L), as ints."""
 
     n: int
     k: int
@@ -23,6 +25,8 @@ class PolarizedInvariants:
     h0: int | None = None
 
     def __post_init__(self):
+        for value in (self.n, self.k, self.deg, 0 if self.h0 is None else self.h0):
+            _strict_int(value, "every field of PolarizedInvariants")
         if self.n < 1:
             raise ValueError("dimension must be >= 1")
         if self.k < 0:

@@ -35,11 +35,19 @@ def _bump(acc: dict, key, value: int) -> None:
         acc.pop(key, None)
 
 
+def _strict_int(value, what: str) -> int:
+    """Return `value` if it is an int and not a bool; raise TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("%s must be an int, got %r" % (what, value))
+    return value
+
+
 class ChernPolynomial:
     """Element of Z[c1, c2]; keys are (i, j) for c1^i c2^j, values are ints.
 
     The weighted degree of a monomial is i + 2j.  No relations are imposed;
-    evaluation inside an ambient Grassmannian happens in `schubert`.
+    evaluation inside an ambient Grassmannian happens in `schubert`.  Exponents
+    and coefficients must be ints; a float or a bool raises TypeError.
     """
 
     __slots__ = ("_terms",)
@@ -48,11 +56,10 @@ class ChernPolynomial:
         clean: dict = {}
         if terms:
             for (i, j), c in terms.items():
-                i, j = int(i), int(j)
-                if i < 0 or j < 0:
+                if _strict_int(i, "exponent") < 0 or _strict_int(j, "exponent") < 0:
                     raise ValueError("negative exponent in (%d, %d)" % (i, j))
-                if c:
-                    _bump(clean, (i, j), int(c))
+                if _strict_int(c, "coefficient"):
+                    _bump(clean, (i, j), c)
         self._terms = clean
 
     @property
@@ -126,7 +133,7 @@ class ChernPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ChernPolynomial":
-        if n < 0:
+        if _strict_int(n, "exponent") < 0:
             raise ValueError("negative powers are not defined")
         out = ChernPolynomial.one()
         for _ in range(n):
@@ -159,7 +166,7 @@ class ChernPolynomial:
 def _coerce(value) -> ChernPolynomial | None:
     if isinstance(value, ChernPolynomial):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return ChernPolynomial({(0, 0): value})
     return None
 

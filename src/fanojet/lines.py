@@ -16,9 +16,10 @@ family nonempty, exactly when sum(d_i) <= 2N - 2 - r.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from .chern import sym_top_chern
-from .schubert import CohomologyElement, from_chern_poly, integrate, mul
+from .chern import ChernPolynomial, _strict_int, sym_top_chern
+from .schubert import CohomologyElement, from_chern_poly, integrate
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,7 @@ class CompleteIntersection:
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
         for value in (self.N, *self.degrees):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError("N and the degrees must be ints, got %r" % (value,))
+            _strict_int(value, "N and each degree")
         if self.N < 1:
             raise ValueError("ambient dimension N must be >= 1")
         if any(d < 1 for d in self.degrees):
@@ -109,14 +109,14 @@ def expected_family_dimension(ci: CompleteIntersection) -> int:
 
 
 def lines_class(ci: CompleteIntersection) -> CohomologyElement:
-    """Class of the locus of lines on X in H*(G(2, N+1))."""
+    """Class of the locus of lines on X in H*(G(2, N+1)).
+
+    The factors are multiplied in Z[c1, c2] and substituted into it once.
+    """
     if ci.r < 1:
         raise ValueError("no hypersurfaces")
-    m = ci.N + 1
-    out = CohomologyElement.one(m)
-    for d in ci.degrees:
-        out = mul(out, from_chern_poly(sym_top_chern(d), m))
-    return out
+    product = prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
+    return from_chern_poly(product, ci.N + 1)
 
 
 def count_lines(ci: CompleteIntersection) -> LineCount:

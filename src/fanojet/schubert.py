@@ -6,7 +6,8 @@ Z-basis of Schubert classes sigma(a, b) indexed by partitions with
 m - 2 >= a >= b >= 0; the class sigma(a, b) sits in codimension a + b and the
 fundamental point class is sigma(m-2, m-2).
 
-Multiplication is generated by the two rank-2 Pieri rules
+The ring is generated by c1 = sigma(1, 0) and c2 = sigma(1, 1), the Chern
+classes of the tautological quotient bundle, which act by the Pieri rules
 
     sigma(1, 0) * sigma(a, b) = sigma(a+1, b) + sigma(a, b+1)
     sigma(1, 1) * sigma(a, b) = sigma(a+1, b+1)
@@ -14,9 +15,11 @@ Multiplication is generated by the two rank-2 Pieri rules
 where any term whose first part exceeds m - 2 is dropped.  Dropping overflow
 terms at every intermediate step is legitimate: the span of the non-fitting
 partitions is exactly the ideal cut out by the ambient, so truncation is a
-ring homomorphism.  General basis products are reduced to Pieri steps through
-the recursion h_k = sigma(1,0) h_{k-1} - sigma(1,1) h_{k-2} for the one-row
-classes h_k = sigma(k, 0).
+ring homomorphism.  Every product goes through one primitive, `_act`: a
+polynomial in c1, c2 acts on Schubert classes by Horner in c1, and a class
+enters as such a polynomial by Giambelli,
+
+    sigma(a, b) = c2^b * h_(a-b),  h_k = sum_i (-1)^i C(k-i, i) c1^(k-2i) c2^i.
 
 All coefficients are Python ints, so arithmetic is exact at any size.  Values
 are immutable after construction and every operation is a pure function.
@@ -24,10 +27,11 @@ are immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterable, Mapping, NamedTuple
 from types import MappingProxyType
 
-from .chern import _bump
+from .chern import _bump, _strict_int
 
 
 class SchubertClass(NamedTuple):
@@ -49,10 +53,16 @@ class SchubertClass(NamedTuple):
 
 
 def _as_class(key) -> SchubertClass:
-    cls = SchubertClass(int(key[0]), int(key[1]))
+    cls = SchubertClass(*(_strict_int(part, "partition part") for part in key))
     if not cls.a >= cls.b >= 0:
         raise ValueError("invalid partition %r: need a >= b >= 0" % (key,))
     return cls
+
+
+def _ambient(m) -> int:
+    if _strict_int(m, "Grassmannian parameter m") < 2:
+        raise ValueError("Grassmannian parameter m must be >= 2")
+    return m
 
 
 def _pieri_one(m: int, terms: Mapping) -> dict:
@@ -66,41 +76,39 @@ def _pieri_one(m: int, terms: Mapping) -> dict:
     return out
 
 
-def _shift(m: int, terms: Mapping, j: int) -> dict:
-    """Multiply by sigma(1, 1)^j in one move: (a, b) -> (a+j, b+j)."""
-    if j == 0:
-        return dict(terms)
-    out = {}
-    for (a, b), c in terms.items():
-        if a + j <= m - 2:
-            out[(a + j, b + j)] = c
-    return out
+def _act(m: int, poly: Mapping, terms: Mapping) -> dict:
+    """Multiply a term dict by a polynomial {(i, j): c} in c1 and c2.
 
-
-def _mul_basis(m: int, terms: Mapping, a: int, b: int) -> dict:
-    """Multiply a term dict by sigma(a, b) using iterated Pieri steps.
-
-    sigma(a, b) = sigma(1,1)^b * h_{a-b}, and multiplication by h_k follows
-    the recursion u_k = sigma(1,0) u_{k-1} - sigma(1,1) u_{k-2}.
+    Horner in c1: for i from the top down, acc = sigma(1,0) * acc plus
+    c * sigma(1,1)^j * terms for each monomial c * c1^i c2^j.
     """
-    cur = _shift(m, terms, b)
-    k = a - b
-    if k == 0 or not cur:
-        return cur
-    prev = cur
-    out = _pieri_one(m, cur)
-    for _ in range(k - 1):
-        nxt = _pieri_one(m, out)
-        for key, c in _shift(m, prev, 1).items():
-            _bump(nxt, key, -c)
-        prev, out = out, nxt
-    return out
+    rows: dict = {}
+    for (i, j), c in poly.items():
+        rows.setdefault(i, []).append((j, c))
+    acc: dict = {}
+    for i in range(max(rows, default=-1), -1, -1):
+        acc = _pieri_one(m, acc)
+        for j, c in rows.get(i, ()):
+            for (a, b), v in terms.items():
+                if a + j <= m - 2:
+                    _bump(acc, (a + j, b + j), c * v)
+    return acc
+
+
+def _giambelli(terms: Mapping) -> dict:
+    """Rewrite Schubert classes as a polynomial {(i, j): c} in c1 and c2."""
+    poly: dict = {}
+    for (a, b), c in terms.items():
+        for i in range((a - b) // 2 + 1):
+            _bump(poly, (a - b - 2 * i, b + i), (-1) ** i * comb(a - b - i, i) * c)
+    return poly
 
 
 class CohomologyElement:
     """Integer combination of Schubert classes of a fixed G(2, m).
 
-    The representation is truncated: keys always satisfy a <= m - 2.
+    The representation is truncated: keys always satisfy a <= m - 2.  The
+    parameter m, the partition parts and the coefficients must be ints.
     Heterogeneous (mixed-codimension) combinations are allowed; integration
     only ever reads the coefficient of the point class.
     """
@@ -108,16 +116,14 @@ class CohomologyElement:
     __slots__ = ("m", "_terms")
 
     def __init__(self, m: int, terms: Mapping | Iterable | None = None):
-        if m < 2:
-            raise ValueError("Grassmannian parameter m must be >= 2")
-        self.m = m
+        self.m = _ambient(m)
         clean: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, Mapping) else terms
             for key, value in items:
                 cls = _as_class(key)
-                if value and cls.fits(m):
-                    _bump(clean, (cls.a, cls.b), int(value))
+                if _strict_int(value, "coefficient") and cls.fits(m):
+                    _bump(clean, (cls.a, cls.b), value)
         self._terms = clean
 
     @property
@@ -156,7 +162,7 @@ class CohomologyElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return CohomologyElement(self.m, {k: other * c for k, c in self._terms.items()})
         if isinstance(other, CohomologyElement):
             return mul(self, other)
@@ -165,7 +171,7 @@ class CohomologyElement:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "CohomologyElement":
-        if n < 0:
+        if _strict_int(n, "exponent") < 0:
             raise ValueError("negative powers are not defined")
         out = CohomologyElement.one(self.m)
         for _ in range(n):
@@ -205,11 +211,7 @@ def mul(x: CohomologyElement, y: CohomologyElement) -> CohomologyElement:
     """Product in H*(G(2, m)); raises on mismatched ambients."""
     x._check_ambient(y)
     left, right = (x, y) if len(x._terms) <= len(y._terms) else (y, x)
-    acc: dict = {}
-    for (a, b), c in left._terms.items():
-        for key, v in _mul_basis(x.m, right._terms, a, b).items():
-            _bump(acc, key, c * v)
-    return CohomologyElement(x.m, acc)
+    return CohomologyElement(x.m, _act(x.m, _giambelli(left._terms), right._terms))
 
 
 def integrate(x: CohomologyElement) -> int:
@@ -221,22 +223,11 @@ def integrate(x: CohomologyElement) -> int:
 def from_chern_poly(p, m: int) -> CohomologyElement:
     """Evaluate a polynomial in c1, c2 of the tautological quotient bundle.
 
-    Substitutes c1 -> sigma(1, 0) and c2 -> sigma(1, 1) and expands each
-    monomial through Pieri multiplication.  `p` is anything exposing a
+    Substitutes c1 -> sigma(1, 0) and c2 -> sigma(1, 1), applying the whole
+    polynomial to the unit class by Horner in c1.  `p` is anything exposing a
     `terms` mapping {(i, j): coefficient} for c1^i c2^j.
     """
-    if m < 2:
-        raise ValueError("Grassmannian parameter m must be >= 2")
-    items = list(p.terms.items())
-    max_i = max((i for (i, _j), _c in items), default=0)
-    powers = [{(0, 0): 1}]
-    for _ in range(max_i):
-        powers.append(_pieri_one(m, powers[-1]))
-    acc: dict = {}
-    for (i, j), c in items:
-        for key, v in _shift(m, powers[i], j).items():
-            _bump(acc, key, c * v)
-    return CohomologyElement(m, acc)
+    return CohomologyElement(m, _act(_ambient(m), p.terms, {(0, 0): 1}))
 
 
 def plucker_degree(m: int) -> int:
@@ -244,9 +235,5 @@ def plucker_degree(m: int) -> int:
 
     Equals the Catalan number C_(m-2).
     """
-    if m < 2:
-        raise ValueError("Grassmannian parameter m must be >= 2")
-    terms = {(0, 0): 1}
-    for _ in range(2 * (m - 2)):
-        terms = _pieri_one(m, terms)
-    return terms.get((m - 2, m - 2), 0)
+    top = _ambient(m) - 2
+    return _act(m, {(2 * top, 0): 1}, {(0, 0): 1}).get((top, top), 0)

@@ -2,9 +2,8 @@
 
 Deliberately written against different algorithms than the library: the free
 two-row Schur ring with the closed Littlewood-Richardson rule, coefficient
-extraction through the bialternant, Bott-style is not needed, and direct
-monomial enumeration for Hilbert functions.  Nothing here imports library
-code.
+extraction through the bialternant, and direct monomial enumeration for
+Hilbert functions.  Nothing here imports library code.
 """
 
 from itertools import combinations_with_replacement

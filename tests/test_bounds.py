@@ -88,6 +88,21 @@ def test_invariants_validation():
         check(PolarizedInvariants(3, 1, 5))
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (3, 2.5, 7.9),      # once accepted as given
+        (3.0, 2, 8),
+        (3, 2, 8, 7.0),
+        (True, 2, 8),
+        (3, 2, 8, True),
+    ],
+)
+def test_invariants_reject_non_int(fields):
+    with pytest.raises(TypeError):
+        PolarizedInvariants(*fields)
+
+
 def test_nefvalue_examples():
     assert nefvalue_bound(3, 2) == 2
     assert nefvalue_bound(5, 2) == 3

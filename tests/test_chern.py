@@ -98,6 +98,24 @@ def test_negative_exponent_rejected():
         ChernPolynomial.c1() ** -2
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: poly({(1.9, 0): 2.7}),      # once truncated to 2*c1
+        lambda: poly({(1, 0): 2.5}),
+        lambda: poly({(1, True): 1}),
+        lambda: poly({(1, 0): True}),
+        lambda: ChernPolynomial.c1() + True,  # once read as c1 + 1
+        lambda: True - ChernPolynomial.c1(),
+        lambda: ChernPolynomial.c2() * False,
+        lambda: ChernPolynomial.c1() ** True,
+    ],
+)
+def test_chern_polynomial_rejects_non_int(build):
+    with pytest.raises(TypeError):
+        build()
+
+
 _small_poly = st.dictionaries(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),
     st.integers(-8, 8),

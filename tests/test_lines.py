@@ -9,7 +9,8 @@ from fanojet.lines import (
     line_family_through_point,
     lines_class,
 )
-from fanojet.schubert import CohomologyElement, integrate, mul, sigma
+from fanojet.chern import sym_top_chern
+from fanojet.schubert import CohomologyElement, from_chern_poly, integrate, mul, sigma
 
 from oracles import bialternant_line_count, free_line_integral
 
@@ -119,6 +120,17 @@ def _degree_tuples(r, dmax):
 
 
 # --- structural properties -------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(3, 9), degrees=st.lists(st.integers(1, 6), min_size=1, max_size=4))
+def test_lines_class_equals_product_of_substituted_factors(N, degrees):
+    # one substitution of the product against one substitution per factor
+    # joined by mul in the Schubert basis
+    chained = CohomologyElement.one(N + 1)
+    for d in degrees:
+        chained = mul(chained, from_chern_poly(sym_top_chern(d), N + 1))
+    assert lines_class(CompleteIntersection(N, tuple(degrees))) == chained
+
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())

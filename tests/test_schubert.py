@@ -5,6 +5,7 @@ from fanojet.chern import ChernPolynomial
 from fanojet.schubert import (
     CohomologyElement,
     SchubertClass,
+    _giambelli,
     from_chern_poly,
     integrate,
     mul,
@@ -81,6 +82,24 @@ def test_from_chern_poly_is_substitution_homomorphism():
     assert from_chern_poly(p * q, m) == mul(from_chern_poly(p, m), from_chern_poly(q, m))
 
 
+def _giambelli_by_recursion(a, b):
+    """c2^b * h_(a-b) in Z[c1, c2], with h_k = c1 h_(k-1) - c2 h_(k-2)."""
+    c1, c2 = ChernPolynomial.c1(), ChernPolynomial.c2()
+    h = [ChernPolynomial.one(), c1]
+    while len(h) <= a - b:
+        h.append(c1 * h[-1] - c2 * h[-2])
+    return c2 ** b * h[a - b]
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_giambelli_round_trip_returns_each_basis_class(m):
+    for a in range(m - 1):
+        for b in range(a + 1):
+            p = _giambelli_by_recursion(a, b)
+            assert ChernPolynomial(_giambelli({(a, b): 1})) == p
+            assert from_chern_poly(p, m) == sigma(m, a, b)
+
+
 # --- Plucker degrees --------------------------------------------------------
 
 def test_plucker_degree_examples():
@@ -89,7 +108,7 @@ def test_plucker_degree_examples():
     assert plucker_degree(7) == 42
 
 
-@pytest.mark.parametrize("m", range(2, 13))
+@pytest.mark.parametrize("m", [*range(2, 13), 30, 60])
 def test_plucker_degree_is_catalan(m):
     assert plucker_degree(m) == catalan(m - 2)
 
@@ -181,6 +200,26 @@ def test_small_ambient_rejected():
         CohomologyElement(1)
     with pytest.raises(ValueError):
         plucker_degree(1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: integrate(CohomologyElement(4.5, {(2, 2): 1})),  # once read as 0
+        lambda: CohomologyElement(5.0),
+        lambda: CohomologyElement(5, {(1, 0): 2.0}),
+        lambda: CohomologyElement(5, {(1.0, 0): 1}),
+        lambda: sigma(5, 2.0, 1.0),                              # once s[2,1]
+        lambda: sigma(5, True),
+        lambda: sigma(5, 1) * True,                              # once 1*s[1,0]
+        lambda: False * sigma(5, 1),
+        lambda: sigma(5, 1) ** True,
+        lambda: from_chern_poly(ChernPolynomial.c1(), 5.0),
+    ],
+)
+def test_cohomology_element_rejects_non_int(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 def test_constructor_truncates_and_drops_zeros():
