@@ -17,6 +17,9 @@ kept here as `sym_top_chern_paper` purely for comparison and is never used
 downstream, since the splitting-principle expansion pins the coefficient to
 d^2 (the roots t = 0 and t = d contribute d*y and d*x, whose product is
 d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
+
+Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
+and multiply by a linear form a*u + b*v in one sweep; they share no kernel.
 """
 
 from __future__ import annotations
@@ -175,15 +178,13 @@ def _paired_product(d: int, boundary: int) -> ChernPolynomial:
     """Closed form d-th symmetric power top class with a chosen boundary coefficient."""
     if d < 1:
         raise ValueError("symmetric power exponent must be >= 1")
-    out = ChernPolynomial({(0, 1): boundary})
-    if d % 2 == 0:
-        out = out * ChernPolynomial({(1, 0): d // 2})
-        pairs = d // 2 - 1
-    else:
-        pairs = (d - 1) // 2
-    for t in range(1, pairs + 1):
-        out = out * ChernPolynomial({(2, 0): t * (d - t), (0, 1): (d - 2 * t) ** 2})
-    return out
+    even = 1 - d % 2  # even d carries one more factor (d/2) c1
+    form = [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
+    for t in range(1, (d - 1) // 2 + 1):
+        a, b = t * (d - t), (d - 2 * t) ** 2
+        form = [a * p + b * q for p, q in zip(form + [0], [0] + form)]
+    top = len(form) - 1
+    return ChernPolynomial({(2 * (top - j) + even, j + 1): c for j, c in enumerate(form)})
 
 
 @cache
@@ -199,43 +200,34 @@ def sym_top_chern_paper(d: int) -> ChernPolynomial:
 def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     """Splitting-principle computation of c_(d+1)(Sym^d F).
 
-    Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots and rewrites
-    the result in e1, e2 by repeated division, checking for a zero remainder.
+    Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots as a list
+    of coefficients indexed by the power of y, then rewrites it in e1, e2.
     """
     if d < 1:
         raise ValueError("symmetric power exponent must be >= 1")
-    roots: dict = {(0, 0): 1}
+    xy = [1]
     for t in range(d + 1):
-        nxt: dict = {}
-        for (i, j), c in roots.items():
-            if t:
-                _bump(nxt, (i + 1, j), c * t)
-            if d - t:
-                _bump(nxt, (i, j + 1), c * (d - t))
-        roots = nxt
-    return ChernPolynomial(_elementary_rewrite(roots))
+        xy = [t * p + (d - t) * q for p, q in zip(xy + [0], [0] + xy)]
+    return ChernPolynomial(_elementary_rewrite(xy))
 
 
-def _elementary_rewrite(xy: Mapping) -> dict:
-    """Rewrite a symmetric integer polynomial in x, y as one in e1, e2.
+def _elementary_rewrite(xy: list) -> dict:
+    """Rewrite a symmetric binary form in x, y as a polynomial in e1, e2.
 
-    Standard leading-term elimination: peel off c * e1^(i-j) * e2^j at the
-    lex-leading monomial x^i y^j until nothing remains.  A leading monomial
-    with i < j, or a nonzero remainder, would mean the input was not
-    symmetric; both are impossible here and raise ArithmeticError.
+    `xy[j]` is the coefficient of x^(n-j) y^j, n = len(xy) - 1.  Leading-term
+    elimination: for j = 0, 1, ..., n // 2 peel c * e1^(n-2j) * e2^j off
+    the list, c being the coefficient left at x^(n-j) y^j.  A nonzero
+    remainder means the form was not symmetric and raises ArithmeticError.
     """
-    work = dict(xy)
-    out: dict = {}
-    while work:
-        i, j = max(work)
-        if i < j:
-            raise ArithmeticError("nonsymmetric remainder at x^%d y^%d" % (i, j))
-        c = work[(i, j)]
-        for k in range(i - j + 1):
-            _bump(work, (j + k, i - k), -c * comb(i - j, k))
-        if (i, j) in work:
-            raise ArithmeticError("leading term x^%d y^%d survived elimination" % (i, j))
-        _bump(out, (i - j, j), c)
+    work, n, out = list(xy), len(xy) - 1, {}
+    for j in range(n // 2 + 1):
+        c = work[j]
+        if c:
+            for k in range(n - 2 * j + 1):
+                work[j + k] -= c * comb(n - 2 * j, k)
+            out[(n - 2 * j, j)] = c
+    if any(work):
+        raise ArithmeticError("nonsymmetric form of degree %d: nonzero remainder" % n)
     return out
 
 

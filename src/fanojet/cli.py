@@ -321,6 +321,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # print exact integers of any size
+        sys.set_int_max_str_digits(0)
     raise SystemExit(run())
 
 

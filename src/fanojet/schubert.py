@@ -149,6 +149,8 @@ class CohomologyElement:
         return {a + b for (a, b) in self._terms}
 
     def __add__(self, other: "CohomologyElement") -> "CohomologyElement":
+        if not isinstance(other, CohomologyElement):
+            return NotImplemented
         self._check_ambient(other)
         acc = dict(self._terms)
         for key, c in other._terms.items():
@@ -197,6 +199,8 @@ class CohomologyElement:
         return "<%s in G(2,%d)>" % (body, self.m)
 
     def _check_ambient(self, other: "CohomologyElement") -> None:
+        if not isinstance(other, CohomologyElement):
+            raise TypeError("expected a CohomologyElement, got %r" % (other,))
         if self.m != other.m:
             raise ValueError("ambient mismatch: G(2,%d) vs G(2,%d)" % (self.m, other.m))
 

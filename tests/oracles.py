@@ -1,9 +1,12 @@
-"""Independent oracles for the test suite.
+"""Oracles for the test suite.
 
-Deliberately written against different algorithms than the library: the free
+Most are written against different algorithms than the library: the free
 two-row Schur ring with the closed Littlewood-Richardson rule, coefficient
 extraction through the bialternant, and direct monomial enumeration for
-Hilbert functions.  Nothing here imports library code.
+Hilbert functions.  The exception is `sym_top_roots_in_chern`, which repeats
+the library's own route (root expansion, then leading-term elimination) in
+separate code; the evaluation test in `test_chern.py` checks that identity by
+an independent route.  Nothing here imports library code.
 """
 
 from itertools import combinations_with_replacement

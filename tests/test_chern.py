@@ -1,8 +1,11 @@
+from math import prod
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanojet.chern import (
     ChernPolynomial,
+    _elementary_rewrite,
     sym_top_chern,
     sym_top_chern_oracle,
     sym_top_chern_paper,
@@ -49,6 +52,22 @@ def test_canonical_equals_oracle(d):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_oracle_agrees_with_independent_rewrite(d):
     assert dict(sym_top_chern_oracle(d).terms) == sym_top_roots_in_chern(d)
+
+
+@pytest.mark.parametrize("d", [*range(1, 41), 100, 277])
+def test_canonical_evaluates_to_root_product(d):
+    # At the roots x = 1, y = s: e1 = 1 + s, e2 = s.  d + 2 values of s fix a
+    # form of weighted degree d + 1, so this checks the whole identity.
+    terms = sym_top_chern(d).terms
+    for s in range(d + 2):
+        value = sum(c * (1 + s) ** i * s ** j for (i, j), c in terms.items())
+        assert value == prod(t + (d - t) * s for t in range(d + 1))
+
+
+@pytest.mark.parametrize("xy", [[1, 0], [1, 2, 3], [0, 1, 0, 0]])
+def test_elementary_rewrite_rejects_nonsymmetric_form(xy):
+    with pytest.raises(ArithmeticError):
+        _elementary_rewrite(xy)
 
 
 @pytest.mark.parametrize("d", range(1, 13))

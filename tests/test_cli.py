@@ -1,10 +1,21 @@
+import contextlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fanojet
 from fanojet.cli import run
+from fanojet.fano import anticanonical_degree
+from fanojet.lines import CompleteIntersection
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +186,70 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal check failed: criterion and class disagree\n"
+
+
+# --- integers past Python's default int-to-str digit limit --------------------
+
+def test_console_prints_integers_of_any_size():
+    argv = ["fano-ci", "--ambient", "1400", "--degrees", "2"]
+    src = str(Path(fanojet.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run([sys.executable, "-m", "fanojet.cli"] + argv + extra,
+                       capture_output=True, text=True, env=env, timeout=120)
+        for extra in ([], ["--json"])
+    ]
+    assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = anticanonical_degree(CompleteIntersection(1400, (2,)))
+        assert len(str(expected)) > 4300
+        printed = re.search(r"anticanonical degree \(-K\)\^1399 = (\d+)", runs[0].stdout)
+        assert int(printed.group(1)) == expected
+        report = json.loads(runs[1].stdout)
+        assert int(report["result"]["anticanonical_degree"]) == expected
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+# --- fuzzed argv: every input ends in an answer or a clean error --------------
+
+_small = st.integers(-2, 12).map(str)
+_degrees = st.lists(st.integers(-1, 9), max_size=4).map(lambda ds: ",".join(map(str, ds)))
+_junk = st.lists(st.sampled_from(["x", "--bogus", "-1", "1.5", "", "--dim", "0", "list"]),
+                 max_size=2)
+
+
+def _opt(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+_ARGV = st.one_of(
+    st.tuples(st.just(["lines"]), _opt("--ambient", _small), _opt("--degrees", _degrees)),
+    st.tuples(st.just(["fano-ci"]), _opt("--ambient", _small), _opt("--degrees", _degrees)),
+    st.tuples(st.just(["bounds"]), _opt("--dim", _small), _opt("--order", _small),
+              _opt("--degree", _small), _opt("--h0", _small)),
+    st.tuples(st.sampled_from([["catalog"], ["catalog", "list"], ["catalog", "verify"]]),
+              _opt("--k", _small), _opt("--dim", _small)),
+    st.tuples(st.just(["adjunction"]), _opt("--dim", _small), _opt("--order", _small)),
+    st.tuples(st.just(["chern"]), _opt("--sym", st.integers(-2, 30).map(str)),
+              st.sampled_from([[], ["--paper-formula"]])),
+).map(lambda parts: [token for part in parts for token in part])
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_ARGV, as_json=st.booleans(), junk=_junk)
+def test_fuzzed_argv_exits_cleanly(schema, argv, as_json, junk):
+    argv = argv + junk + (["--json"] if as_json else [])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0 and as_json:
+        jsonschema.validate(json.loads(out.getvalue()), schema)
+    if code == 2:
+        assert out.getvalue() == "", argv
+        assert err.getvalue()

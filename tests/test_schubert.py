@@ -215,6 +215,9 @@ def test_small_ambient_rejected():
         lambda: False * sigma(5, 1),
         lambda: sigma(5, 1) ** True,
         lambda: from_chern_poly(ChernPolynomial.c1(), 5.0),
+        lambda: sigma(5, 1) + 1,                                 # once AttributeError
+        lambda: sigma(5, 1) - 1,
+        lambda: mul(sigma(5, 1), 2),
     ],
 )
 def test_cohomology_element_rejects_non_int(build):
