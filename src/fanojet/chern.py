@@ -20,12 +20,15 @@ d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
 
 Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
 and multiply by a linear form a*u + b*v in one sweep; they share no kernel.
+The oracle's e1/e2 rewrite tests symmetry once, then peels only the first half
+of the list, carrying each row's binomial coefficients by a rolling product.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb
+from itertools import repeat
+from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
@@ -138,10 +141,7 @@ class ChernPolynomial:
     def __pow__(self, n: int) -> "ChernPolynomial":
         if _strict_int(n, "exponent") < 0:
             raise ValueError("negative powers are not defined")
-        out = ChernPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
+        return prod(repeat(self, n), start=ChernPolynomial.one())
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChernPolynomial) and self._terms == other._terms
@@ -214,20 +214,22 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
 def _elementary_rewrite(xy: list) -> dict:
     """Rewrite a symmetric binary form in x, y as a polynomial in e1, e2.
 
-    `xy[j]` is the coefficient of x^(n-j) y^j, n = len(xy) - 1.  Leading-term
-    elimination: for j = 0, 1, ..., n // 2 peel c * e1^(n-2j) * e2^j off
-    the list, c being the coefficient left at x^(n-j) y^j.  A nonzero
-    remainder means the form was not symmetric and raises ArithmeticError.
+    `xy[j]` is the coefficient of x^(n-j) y^j, n = len(xy) - 1; a form that is
+    not its own reverse raises ArithmeticError.  For j = 0, ..., n // 2 peel
+    c * e1^(n-2j) * e2^j, c being the coefficient left at x^(n-j) y^j; the peels
+    are symmetric, so only xy[:n//2 + 1] is updated, rolling C(n-2j, k) along k.
     """
-    work, n, out = list(xy), len(xy) - 1, {}
-    for j in range(n // 2 + 1):
-        c = work[j]
+    n = len(xy) - 1
+    if xy != xy[::-1]:
+        raise ArithmeticError("nonsymmetric form of degree %d" % n)
+    half, out = xy[: n // 2 + 1], {}
+    for j in range(len(half)):
+        c, m, b = half[j], n - 2 * j, 1
         if c:
-            for k in range(n - 2 * j + 1):
-                work[j + k] -= c * comb(n - 2 * j, k)
-            out[(n - 2 * j, j)] = c
-    if any(work):
-        raise ArithmeticError("nonsymmetric form of degree %d: nonzero remainder" % n)
+            for k in range(len(half) - j):
+                half[j + k] -= c * b
+                b = b * (m - k) // (k + 1)
+            out[(m, j)] = c
     return out
 
 

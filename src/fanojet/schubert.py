@@ -27,7 +27,8 @@ are immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import repeat
+from math import comb, prod
 from typing import Iterable, Mapping, NamedTuple
 from types import MappingProxyType
 
@@ -175,10 +176,7 @@ class CohomologyElement:
     def __pow__(self, n: int) -> "CohomologyElement":
         if _strict_int(n, "exponent") < 0:
             raise ValueError("negative powers are not defined")
-        out = CohomologyElement.one(self.m)
-        for _ in range(n):
-            out = mul(out, self)
-        return out
+        return prod(repeat(self, n), start=CohomologyElement.one(self.m))
 
     def __eq__(self, other) -> bool:
         return (

@@ -1,4 +1,4 @@
-from math import prod
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,7 +49,7 @@ def test_canonical_equals_oracle(d):
     assert sym_top_chern(d) == sym_top_chern_oracle(d)
 
 
-@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("d", [*range(1, 13), 100, 277])
 def test_oracle_agrees_with_independent_rewrite(d):
     assert dict(sym_top_chern_oracle(d).terms) == sym_top_roots_in_chern(d)
 
@@ -68,6 +68,33 @@ def test_canonical_evaluates_to_root_product(d):
 def test_elementary_rewrite_rejects_nonsymmetric_form(xy):
     with pytest.raises(ArithmeticError):
         _elementary_rewrite(xy)
+
+
+@st.composite
+def _elementary_forms(draw):
+    """(n, cs, xy): xy is the coefficient list of sum_j cs[j] * e1^(n-2j) * e2^j."""
+    n = draw(st.integers(0, 60))
+    cs = draw(st.lists(st.just(0) | st.integers(-10**40, 10**40),
+                       min_size=n // 2 + 1, max_size=n // 2 + 1))
+    xy = [0] * (n + 1)
+    for j, c in enumerate(cs):
+        for k in range(n - 2 * j + 1):
+            xy[j + k] += c * comb(n - 2 * j, k)
+    return n, cs, xy
+
+
+@settings(max_examples=200, deadline=None)
+@given(form=_elementary_forms(), data=st.data())
+def test_elementary_rewrite_round_trip_and_perturbation(form, data):
+    n, cs, xy = form
+    assert _elementary_rewrite(xy) == {(n - 2 * j, j): c for j, c in enumerate(cs) if c}
+    # The middle coefficient (n even) is its own mirror; any other one breaks symmetry.
+    off_centre = [i for i in range(n + 1) if 2 * i != n]
+    if off_centre:
+        i = data.draw(st.sampled_from(off_centre))
+        xy[i] += data.draw(st.integers(-10**40, 10**40).filter(bool))
+        with pytest.raises(ArithmeticError):
+            _elementary_rewrite(xy)
 
 
 @pytest.mark.parametrize("d", range(1, 13))
