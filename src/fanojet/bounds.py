@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import _strict_int
+from .chern import InputError, _strict_int
 
 
 @dataclass(frozen=True)
@@ -28,11 +28,11 @@ class PolarizedInvariants:
         for value in (self.n, self.k, self.deg, 0 if self.h0 is None else self.h0):
             _strict_int(value, "every field of PolarizedInvariants")
         if self.n < 1:
-            raise ValueError("dimension must be >= 1")
+            raise InputError("dimension must be >= 1")
         if self.k < 0:
-            raise ValueError("order must be >= 0")
+            raise InputError("order must be >= 0")
         if self.deg < 1:
-            raise ValueError("degree must be >= 1")
+            raise InputError("degree must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -52,18 +52,18 @@ class BoundsVerdict:
 def min_degree(n: int, k: int) -> int:
     """Least possible L^n for a k-very ample L on an n-fold: 2^n + k - 2."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise InputError("dimension must be >= 1")
     if k < 2:
-        raise ValueError("degree bound requires k >= 2")
+        raise InputError("degree bound requires k >= 2")
     return 2 ** n + k - 2
 
 
 def min_sections(n: int, k: int) -> int:
     """Least possible h^0(L) for a k-very ample L on an n-fold: 2n + k - 1."""
     if n < 1:
-        raise ValueError("dimension must be >= 1")
+        raise InputError("dimension must be >= 1")
     if k < 2:
-        raise ValueError("section bound requires k >= 2")
+        raise InputError("section bound requires k >= 2")
     return 2 * n + k - 1
 
 
@@ -92,9 +92,9 @@ def check(inv: PolarizedInvariants) -> BoundsVerdict:
 def nefvalue_bound(n: int, k: int) -> Fraction:
     """Upper bound (n+1)/k for the nefvalue of a k-very ample pair, n >= 3."""
     if n < 3:
-        raise ValueError("nefvalue bound requires n >= 3")
+        raise InputError("nefvalue bound requires n >= 3")
     if k < 2:
-        raise ValueError("nefvalue bound requires k >= 2")
+        raise InputError("nefvalue bound requires k >= 2")
     return Fraction(n + 1, k)
 
 
@@ -106,7 +106,7 @@ def box_product_order(k1: int, k2: int) -> int:
     stay within reach of the factors.
     """
     if k1 < 0 or k2 < 0:
-        raise ValueError("orders must be >= 0")
+        raise InputError("orders must be >= 0")
     return min(k1, k2)
 
 
@@ -117,5 +117,5 @@ def curve_degree_floor(k: int) -> int:
     ampleness.
     """
     if k < 0:
-        raise ValueError("order must be >= 0")
+        raise InputError("order must be >= 0")
     return k

@@ -33,12 +33,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 
-def _bump(acc: dict, key, value: int) -> None:
-    total = acc.get(key, 0) + value
-    if total:
-        acc[key] = total
-    else:
-        acc.pop(key, None)
+class InputError(ValueError):
+    """An argument outside a function's domain: the caller's input, not a bug."""
 
 
 def _strict_int(value, what: str) -> int:
@@ -63,9 +59,9 @@ class ChernPolynomial:
         if terms:
             for (i, j), c in terms.items():
                 if _strict_int(i, "exponent") < 0 or _strict_int(j, "exponent") < 0:
-                    raise ValueError("negative exponent in (%d, %d)" % (i, j))
+                    raise InputError("negative exponent in (%d, %d)" % (i, j))
                 if _strict_int(c, "coefficient"):
-                    _bump(clean, (i, j), c)
+                    clean[(i, j)] = c
         self._terms = clean
 
     @property
@@ -106,7 +102,7 @@ class ChernPolynomial:
             return NotImplemented
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            _bump(acc, key, c)
+            acc[key] = acc.get(key, 0) + c
         return ChernPolynomial(acc)
 
     __radd__ = __add__
@@ -133,14 +129,15 @@ class ChernPolynomial:
         acc: dict = {}
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
-                _bump(acc, (i1 + i2, j1 + j2), c1 * c2)
+                key = (i1 + i2, j1 + j2)
+                acc[key] = acc.get(key, 0) + c1 * c2
         return ChernPolynomial(acc)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "ChernPolynomial":
         if _strict_int(n, "exponent") < 0:
-            raise ValueError("negative powers are not defined")
+            raise InputError("negative powers are not defined")
         return prod(repeat(self, n), start=ChernPolynomial.one())
 
     def __eq__(self, other) -> bool:
@@ -177,7 +174,7 @@ def _coerce(value) -> ChernPolynomial | None:
 def _paired_product(d: int, boundary: int) -> ChernPolynomial:
     """Closed form d-th symmetric power top class with a chosen boundary coefficient."""
     if d < 1:
-        raise ValueError("symmetric power exponent must be >= 1")
+        raise InputError("symmetric power exponent must be >= 1")
     even = 1 - d % 2  # even d carries one more factor (d/2) c1
     form = [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
     for t in range(1, (d - 1) // 2 + 1):
@@ -187,7 +184,6 @@ def _paired_product(d: int, boundary: int) -> ChernPolynomial:
     return ChernPolynomial({(2 * (top - j) + even, j + 1): c for j, c in enumerate(form)})
 
 
-@cache
 def sym_top_chern_paper(d: int) -> ChernPolynomial:
     """The printed closed-form variant with boundary coefficient (d+1)^2.
 
@@ -196,7 +192,6 @@ def sym_top_chern_paper(d: int) -> ChernPolynomial:
     return _paired_product(d, (d + 1) ** 2)
 
 
-@cache
 def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     """Splitting-principle computation of c_(d+1)(Sym^d F).
 
@@ -204,7 +199,7 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     of coefficients indexed by the power of y, then rewrites it in e1, e2.
     """
     if d < 1:
-        raise ValueError("symmetric power exponent must be >= 1")
+        raise InputError("symmetric power exponent must be >= 1")
     xy = [1]
     for t in range(d + 1):
         xy = [t * p + (d - t) * q for p, q in zip(xy + [0], [0] + xy)]

@@ -1,9 +1,9 @@
-"""Command-line front end: human-readable or JSON reports for every module.
+"""Command-line front end: one report per subcommand, printed as JSON or text.
 
-All integers in JSON payloads are serialized as decimal strings so that
-arbitrary-precision values survive any JSON reader.  Exit codes: 0 on
-success, 1 when a consistency check fails (`catalog verify`, or an internal
-cross-check such as closed form against oracle), 2 on input errors.
+Each `_cmd_*` returns its report and exit code; `run` alone prints the report,
+as JSON with every integer a decimal string (so exact values survive any JSON
+reader) or through its text view.  Exit codes: 0 on success, 1 when a
+consistency check or any internal step fails, 2 on input errors (`InputError`).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import bounds as bounds_mod
 from . import catalog as catalog_mod
-from .chern import sym_top_chern, sym_top_chern_paper
+from .chern import InputError, sym_top_chern, sym_top_chern_paper
 from .fano import analyze
 from .lines import (
     CompleteIntersection,
@@ -56,114 +56,67 @@ def _encode(value):
     return value
 
 
-def _emit(args, command: str, inputs: dict, result: dict, citations: list[str],
-          text: list[str], notes: tuple[str, ...] = ()) -> None:
-    """Print one report: the JSON envelope under --json, else the text lines and notes."""
-    if args.json:
-        report = {"command": command, "inputs": inputs, "result": result, "citations": citations}
-        if notes:
-            report["notes"] = list(notes)
-        print(json.dumps(_encode(report), indent=2))
-    else:
-        for line in text + ["note: %s" % note for note in notes]:
-            print(line)
+def _report(command, inputs, result, citations, notes=(), code=0) -> tuple[dict, int]:
+    """One subcommand's report, the dict that is printed as JSON or text, and its exit code."""
+    report = {"command": command, "inputs": inputs, "result": result, "citations": citations}
+    if notes:
+        report["notes"] = list(notes)
+    return report, code
 
 
-def _line_count_payload(lc: LineCount) -> dict:
-    return {key: value for key, value in asdict(lc).items() if value is not None}
+def _without_none(fields: dict) -> dict:
+    return {key: value for key, value in fields.items() if value is not None}
 
 
-def _chern_terms(poly) -> list[dict]:
-    return [
-        {"c1_exp": i, "c2_exp": j, "coeff": poly.terms[(i, j)]}
-        for (i, j) in sorted(poly.terms, key=lambda key: (-key[0], -key[1]))
-    ]
+def _chern_fields(poly) -> dict:
+    terms = sorted(poly.terms.items(), reverse=True)
+    return {
+        "top_chern": str(poly),
+        "terms": [{"c1_exp": i, "c2_exp": j, "coeff": c} for (i, j), c in terms],
+    }
 
 
-def _parse_degrees(text: str | None) -> tuple[int, ...]:
-    if text is None or text.strip() == "":
+def _parse_degrees(text: str) -> tuple[int, ...]:
+    if not text.strip():
         return ()
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError("degrees must be comma-separated integers, got %r" % text)
+        raise InputError("degrees must be comma-separated integers, got %r" % text)
     if any(v < 1 for v in values):
-        raise ValueError("degrees must be positive integers")
+        raise InputError("degrees must be positive integers")
     return values
 
 
-def _cmd_lines(args) -> int:
+def _cmd_lines(args) -> tuple[dict, int]:
     degrees = _parse_degrees(args.degrees)
     if not degrees:
-        raise ValueError("at least one hypersurface degree is required")
+        raise InputError("at least one hypersurface degree is required")
     ci = CompleteIntersection(args.ambient, degrees)
-    count = count_lines(ci)
-    through = line_family_through_point(ci)
-    delta = expected_family_dimension(ci)
-    text = [
-        "lines on a generic %s" % ci,
-        "expected family dimension: %d" % delta,
-        "result: %s" % count,
-    ]
-    if through is not None:
-        text.append("lines through a general point: %d-dimensional" % through)
     inputs = {"ambient": ci.N, "degrees": ci.degrees}
     result = {
-        "expected_family_dim": delta,
-        "line_count": _line_count_payload(count),
-        "family_through_point": through,
+        "expected_family_dim": expected_family_dimension(ci),
+        "line_count": _without_none(asdict(count_lines(ci))),
+        "family_through_point": line_family_through_point(ci),
     }
     citations = [CITE_LINE_COUNT, CITE_LINE_CRITERION, CITE_THROUGH_POINT]
-    _emit(args, "lines", inputs, result, citations, text, notes=(GENERICITY_NOTE,))
-    return 0
+    return _report("lines", inputs, result, citations, notes=(GENERICITY_NOTE,))
 
 
-def _cmd_fano_ci(args) -> int:
+def _cmd_fano_ci(args) -> tuple[dict, int]:
     ci = CompleteIntersection(args.ambient, _parse_degrees(args.degrees))
-    rep = analyze(ci)
-    text = ["X = %s, dim %d" % (ci, rep.dim)]
-    if rep.is_fano:
-        text.append("Fano: yes (sum of degrees %d <= %d)" % (ci.degree_sum, ci.N))
-    else:
-        text.append("Fano: no (sum of degrees %d > %d)" % (ci.degree_sum, ci.N))
-    text.append("anticanonical degree (-K)^%d = %d" % (rep.dim, rep.anticanonical_degree))
-    if rep.jet_order is not None:
-        text.append(
-            "-K is %d-jet ample, not %d-spanned"
-            % (rep.jet_order, rep.not_spanned_order)
-        )
-        if rep.formula_extrapolated:
-            text.append("(dimension 1: order formula-extrapolated, line data n/a)")
-    elif rep.curve_exception:
-        text.append("jet order: none reported (the plane conic is the excluded case)")
-    else:
-        text.append("jet order: none (-K is not ample)")
-    if rep.contains_line is True:
-        text.append("contains a line: yes")
-    text.append("line family: %s" % rep.line_family)
-    if rep.family_through_point is not None:
-        text.append("lines through a general point: %d-dimensional" % rep.family_through_point)
+    result = asdict(analyze(ci))
+    result["line_family"] = _without_none(result["line_family"])
     inputs = {"ambient": ci.N, "degrees": ci.degrees}
-    result = asdict(rep)
-    result["line_family"] = _line_count_payload(rep.line_family)
     citations = [CITE_JET_ORDER, CITE_NOT_SPANNED, CITE_LINE_CRITERION]
-    _emit(args, "fano-ci", inputs, result, citations, text, notes=(GENERICITY_NOTE,))
-    return 0
+    return _report("fano-ci", inputs, result, citations, notes=(GENERICITY_NOTE,))
 
 
-def _cmd_bounds(args) -> int:
-    deg_floor = bounds_mod.min_degree(args.dim, args.order)
-    sec_floor = bounds_mod.min_sections(args.dim, args.order)
-    if args.degree is None and args.h0 is not None:
-        raise ValueError("--h0 requires --degree")
-    text = [
-        "n = %d, k = %d: require L^n >= %d and h0(L) >= %d"
-        % (args.dim, args.order, deg_floor, sec_floor)
-    ]
+def _cmd_bounds(args) -> tuple[dict, int]:
     # Without --degree there is nothing to check, and these values stand.
     result = {
-        "min_degree": deg_floor,
-        "min_sections": sec_floor,
+        "min_degree": bounds_mod.min_degree(args.dim, args.order),
+        "min_sections": bounds_mod.min_sections(args.dim, args.order),
         "degree_ok": None,
         "sections_ok": None,
         "borderline_consistent": True,
@@ -174,82 +127,126 @@ def _cmd_bounds(args) -> int:
         inv = bounds_mod.PolarizedInvariants(args.dim, args.order, args.degree, args.h0)
         verdict = bounds_mod.check(inv)
         result.update(asdict(verdict), ok=verdict.ok)
-        text.append("degree %d: %s" % (args.degree, "ok" if verdict.degree_ok else "FAIL"))
-        if args.h0 is not None:
-            text.append("h0 %d: %s" % (args.h0, "ok" if verdict.sections_ok else "FAIL"))
-        if not verdict.borderline_consistent:
-            text.append("borderline: FAIL (h0 sits at the floor but the degree does not)")
-        text.append("verdict: %s" % ("pass" if verdict.ok else "fail"))
-        for failure in verdict.failures:
-            text.append("  violated: %s" % failure)
+    elif args.h0 is not None:
+        raise InputError("--h0 requires --degree")
     inputs = {"dim": args.dim, "order": args.order, "degree": args.degree, "h0": args.h0}
     citations = [CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BORDERLINE]
-    _emit(args, "bounds", inputs, result, citations, text)
-    return 0
+    return _report("bounds", inputs, result, citations)
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> tuple[dict, int]:
     if args.action == "verify":
         outcome = catalog_mod.verify_all()
-        text = ["verified %d catalog entries: %s" % (outcome.checked, "all consistent" if outcome.ok else "FAILURES")]
-        for failure in outcome.failures:
-            text.append("  %s" % failure)
         result = {"checked": outcome.checked, "ok": outcome.ok, "failures": outcome.failures}
         citations = [CITE_CATALOG, CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BOX_ORDER]
-        _emit(args, "catalog-verify", {}, result, citations, text)
-        return 0 if outcome.ok else 1
+        return _report("catalog-verify", {}, result, citations, code=0 if outcome.ok else 1)
     rows = catalog_mod.entries(n=args.dim, k=args.k)
-    text = ["%d entries" % len(rows)]
-    for e in rows:
-        line = "%-9s n=%d k=%d deg=%-3d h0=%-3d %s" % (
-            e.id,
-            e.n,
-            e.k_very_ample,
-            e.degree,
-            e.h0,
-            e.description,
-        )
-        if e.flag:
-            line += " [%s]" % e.flag
-        text.append(line)
     result = {"count": len(rows), "entries": catalog_mod.catalog_as_dicts(rows)}
-    _emit(args, "catalog", {"dim": args.dim, "k": args.k}, result, [CITE_CATALOG], text)
-    return 0
+    return _report("catalog", {"dim": args.dim, "k": args.k}, result, [CITE_CATALOG])
 
 
-def _cmd_adjunction(args) -> int:
-    cases = catalog_mod.adjunction_cases(args.dim, args.order)
-    text = ["possible structures for n = %d, k = %d:" % (args.dim, args.order)]
-    for c in cases:
-        text.append("  case %s (%s): %s" % (c.case_id, c.constraints, c.description))
-    result = {
-        "cases": [
-            {"case_id": c.case_id, "constraints": c.constraints, "description": c.description}
-            for c in cases
-        ]
-    }
+def _cmd_adjunction(args) -> tuple[dict, int]:
+    cases = [
+        {"case_id": c.case_id, "constraints": c.constraints, "description": c.description}
+        for c in catalog_mod.adjunction_cases(args.dim, args.order)
+    ]
     inputs = {"dim": args.dim, "order": args.order}
-    _emit(args, "adjunction", inputs, result, [CITE_NEFVALUE, CITE_CATALOG], text)
-    return 0
+    return _report("adjunction", inputs, {"cases": cases}, [CITE_NEFVALUE, CITE_CATALOG])
 
 
-def _cmd_chern(args) -> int:
-    poly = sym_top_chern(args.sym)
-    result: dict = {"sym": args.sym, "top_chern": str(poly), "terms": _chern_terms(poly)}
-    text = ["top Chern class of Sym^%d F: %s" % (args.sym, poly)]
+def _cmd_chern(args) -> tuple[dict, int]:
+    result = {"sym": args.sym, **_chern_fields(sym_top_chern(args.sym))}
     if args.paper_formula:
-        alt = sym_top_chern_paper(args.sym)
         ratio = Fraction((args.sym + 1) ** 2, args.sym ** 2)
-        result["alternative"] = {
-            "top_chern": str(alt),
-            "terms": _chern_terms(alt),
-            "ratio_to_canonical": str(ratio),
-        }
-        text.append("printed closed-form variant (boundary (d+1)^2): %s" % alt)
-        text.append("variant = %s * canonical (exact scalar)" % ratio)
+        alt = _chern_fields(sym_top_chern_paper(args.sym))
+        result["alternative"] = dict(alt, ratio_to_canonical=str(ratio))
     inputs = {"sym": args.sym, "paper_formula": args.paper_formula}
-    _emit(args, "chern", inputs, result, [CITE_SPLITTING], text)
-    return 0
+    return _report("chern", inputs, result, [CITE_SPLITTING])
+
+
+def _lines_text(inputs: dict, result: dict):
+    yield "lines on a generic %s" % CompleteIntersection(inputs["ambient"], inputs["degrees"])
+    yield "expected family dimension: %(expected_family_dim)d" % result
+    yield "result: %s" % LineCount(**result["line_count"])
+    if result["family_through_point"] is not None:
+        yield "lines through a general point: %(family_through_point)d-dimensional" % result
+
+
+def _fano_ci_text(inputs: dict, result: dict):
+    ci = CompleteIntersection(inputs["ambient"], inputs["degrees"])
+    yield "X = %s, dim %d" % (ci, result["dim"])
+    if result["is_fano"]:
+        yield "Fano: yes (sum of degrees %d <= %d)" % (ci.degree_sum, ci.N)
+    else:
+        yield "Fano: no (sum of degrees %d > %d)" % (ci.degree_sum, ci.N)
+    yield "anticanonical degree (-K)^%(dim)d = %(anticanonical_degree)d" % result
+    if result["jet_order"] is not None:
+        yield "-K is %(jet_order)d-jet ample, not %(not_spanned_order)d-spanned" % result
+        if result["formula_extrapolated"]:
+            yield "(dimension 1: order formula-extrapolated, line data n/a)"
+    elif result["curve_exception"]:
+        yield "jet order: none reported (the plane conic is the excluded case)"
+    else:
+        yield "jet order: none (-K is not ample)"
+    if result["contains_line"] is True:
+        yield "contains a line: yes"
+    yield "line family: %s" % LineCount(**result["line_family"])
+    if result["family_through_point"] is not None:
+        yield "lines through a general point: %(family_through_point)d-dimensional" % result
+
+
+def _bounds_text(inputs: dict, result: dict):
+    floors = (inputs["dim"], inputs["order"], result["min_degree"], result["min_sections"])
+    yield "n = %d, k = %d: require L^n >= %d and h0(L) >= %d" % floors
+    if inputs["degree"] is not None:
+        yield "degree %d: %s" % (inputs["degree"], "ok" if result["degree_ok"] else "FAIL")
+        if inputs["h0"] is not None:
+            yield "h0 %d: %s" % (inputs["h0"], "ok" if result["sections_ok"] else "FAIL")
+        if not result["borderline_consistent"]:
+            yield "borderline: FAIL (h0 sits at the floor but the degree does not)"
+        yield "verdict: %s" % ("pass" if result["ok"] else "fail")
+        for failure in result["failures"]:
+            yield "  violated: %s" % failure
+
+
+def _catalog_verify_text(inputs: dict, result: dict):
+    verdict = "all consistent" if result["ok"] else "FAILURES"
+    yield "verified %d catalog entries: %s" % (result["checked"], verdict)
+    for failure in result["failures"]:
+        yield "  %s" % failure
+
+
+def _catalog_text(inputs: dict, result: dict):
+    row_text = "%(id)-9s n=%(dim)s k=%(k_very_ample)s deg=%(degree)-3s h0=%(h0)-3s %(description)s"
+    yield "%(count)d entries" % result
+    for row in result["entries"]:  # from catalog_as_dicts, so its integers are decimal strings
+        yield row_text % row + (" [%(flag)s]" % row if row["flag"] else "")
+
+
+def _adjunction_text(inputs: dict, result: dict):
+    yield "possible structures for n = %(dim)d, k = %(order)d:" % inputs
+    for case in result["cases"]:
+        yield "  case %(case_id)s (%(constraints)s): %(description)s" % case
+
+
+def _chern_text(inputs: dict, result: dict):
+    yield "top Chern class of Sym^%(sym)d F: %(top_chern)s" % result
+    if "alternative" in result:
+        alt = result["alternative"]
+        yield "printed closed-form variant (boundary (d+1)^2): %(top_chern)s" % alt
+        yield "variant = %(ratio_to_canonical)s * canonical (exact scalar)" % alt
+
+
+# One text view per report kind; each reads only the inputs and result of a report.
+TEXT_VIEWS = {
+    "lines": _lines_text,
+    "fano-ci": _fano_ci_text,
+    "bounds": _bounds_text,
+    "catalog-verify": _catalog_verify_text,
+    "catalog": _catalog_text,
+    "adjunction": _adjunction_text,
+    "chern": _chern_text,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,12 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chern", help="top Chern class of Sym^d of the rank-2 bundle")
     p.add_argument("--sym", type=int, required=True, metavar="d")
-    p.add_argument(
-        "--paper-formula",
-        action="store_true",
-        help="also print the printed closed-form variant with boundary "
-        "coefficient (d+1)^2 and its exact ratio to the canonical class",
-    )
+    p.add_argument("--paper-formula", action="store_true", help="also print the printed "
+                   "closed-form variant with boundary coefficient (d+1)^2 and its exact "
+                   "ratio to the canonical class")
     p.set_defaults(func=_cmd_chern)
 
     for p in sub.choices.values():
@@ -304,20 +298,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse argv, run the subcommand and print its report; return the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
-    except ValueError as exc:
+        report, code = args.func(args)
+        if args.json:
+            print(json.dumps(_encode(report), indent=2))
+        else:
+            text = [*TEXT_VIEWS[report["command"]](report["inputs"], report["result"])]
+            text += ["note: %s" % note for note in report.get("notes", ())]
+            print("\n".join(text))
+    except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (AssertionError, ArithmeticError) as exc:
+    except (AssertionError, ArithmeticError, ValueError) as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 1
+    return code
 
 
 def main() -> None:

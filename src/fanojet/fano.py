@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 
+from .chern import InputError
 from .lines import (
     CompleteIntersection,
     LineCount,
@@ -52,9 +53,9 @@ def degree_of_twist(ci: CompleteIntersection, t: int) -> int:
 def anticanonical_degree(ci: CompleteIntersection) -> int:
     """(-K_X)^dim for a Fano complete intersection."""
     if ci.r >= ci.N:
-        raise ValueError("not positive-dimensional")
+        raise InputError("not positive-dimensional")
     if ci.degree_sum > ci.N:
-        raise ValueError("not Fano: sum of degrees exceeds ambient dimension")
+        raise InputError("not Fano: sum of degrees exceeds ambient dimension")
     return degree_of_twist(ci, ci.N + 1 - ci.degree_sum)
 
 
@@ -70,7 +71,7 @@ def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
     sum over S of (-1)^|S| C(N + t - sum_{i in S} d_i, N).
     """
     if t < 0:
-        raise ValueError("twist must be >= 0")
+        raise InputError("twist must be >= 0")
     total = 0
     for size in range(ci.r + 1):
         for subset in combinations(ci.degrees, size):
@@ -84,7 +85,7 @@ def analyze(ci: CompleteIntersection) -> EmbeddingOrderReport:
     r = 0 means X = P^N itself.  Raises for r >= N (not positive-dimensional).
     """
     if ci.r >= ci.N:
-        raise ValueError("not positive-dimensional")
+        raise InputError("not positive-dimensional")
     total = ci.degree_sum
     fano = total <= ci.N
     antideg = degree_of_twist(ci, ci.N + 1 - total)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .chern import ChernPolynomial, _strict_int, sym_top_chern
+from .chern import ChernPolynomial, InputError, _strict_int, sym_top_chern
 from .schubert import CohomologyElement, from_chern_poly, integrate
 
 
@@ -38,9 +38,9 @@ class CompleteIntersection:
         for value in (self.N, *self.degrees):
             _strict_int(value, "N and each degree")
         if self.N < 1:
-            raise ValueError("ambient dimension N must be >= 1")
+            raise InputError("ambient dimension N must be >= 1")
         if any(d < 1 for d in self.degrees):
-            raise ValueError("hypersurface degrees must be >= 1")
+            raise InputError("hypersurface degrees must be >= 1")
 
     @property
     def r(self) -> int:
@@ -72,13 +72,13 @@ class LineCount:
     @classmethod
     def finite(cls, count: int) -> "LineCount":
         if count < 0:
-            raise ValueError("finite line counts are nonnegative")
+            raise InputError("finite line counts are nonnegative")
         return cls("finite", count=count)
 
     @classmethod
     def family(cls, dim: int, nonempty: bool) -> "LineCount":
         if dim < 1:
-            raise ValueError("family dimension must be >= 1")
+            raise InputError("family dimension must be >= 1")
         return cls("family", family_dim=dim, nonempty=nonempty)
 
     @classmethod
@@ -114,7 +114,7 @@ def lines_class(ci: CompleteIntersection) -> CohomologyElement:
     The factors are multiplied in Z[c1, c2] and substituted into it once.
     """
     if ci.r < 1:
-        raise ValueError("no hypersurfaces")
+        raise InputError("no hypersurfaces")
     product = prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
     return from_chern_poly(product, ci.N + 1)
 
@@ -127,9 +127,9 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
     raises, because it would mean an arithmetic bug.
     """
     if ci.r < 1:
-        raise ValueError("no hypersurfaces")
+        raise InputError("no hypersurfaces")
     if ci.r >= ci.N:
-        raise ValueError("not positive-dimensional")
+        raise InputError("not positive-dimensional")
     delta = expected_family_dimension(ci)
     cls = lines_class(ci)
     criterion = ci.degree_sum <= 2 * ci.N - 2 - ci.r

@@ -32,7 +32,7 @@ from math import comb, prod
 from typing import Iterable, Mapping, NamedTuple
 from types import MappingProxyType
 
-from .chern import _bump, _strict_int
+from .chern import InputError, _strict_int
 
 
 class SchubertClass(NamedTuple):
@@ -56,13 +56,13 @@ class SchubertClass(NamedTuple):
 def _as_class(key) -> SchubertClass:
     cls = SchubertClass(*(_strict_int(part, "partition part") for part in key))
     if not cls.a >= cls.b >= 0:
-        raise ValueError("invalid partition %r: need a >= b >= 0" % (key,))
+        raise InputError("invalid partition %r: need a >= b >= 0" % (key,))
     return cls
 
 
 def _ambient(m) -> int:
     if _strict_int(m, "Grassmannian parameter m") < 2:
-        raise ValueError("Grassmannian parameter m must be >= 2")
+        raise InputError("Grassmannian parameter m must be >= 2")
     return m
 
 
@@ -71,9 +71,9 @@ def _pieri_one(m: int, terms: Mapping) -> dict:
     out: dict = {}
     for (a, b), c in terms.items():
         if a + 1 <= m - 2:
-            _bump(out, (a + 1, b), c)
+            out[a + 1, b] = out.get((a + 1, b), 0) + c
         if b + 1 <= a:
-            _bump(out, (a, b + 1), c)
+            out[a, b + 1] = out.get((a, b + 1), 0) + c
     return out
 
 
@@ -92,7 +92,7 @@ def _act(m: int, poly: Mapping, terms: Mapping) -> dict:
         for j, c in rows.get(i, ()):
             for (a, b), v in terms.items():
                 if a + j <= m - 2:
-                    _bump(acc, (a + j, b + j), c * v)
+                    acc[a + j, b + j] = acc.get((a + j, b + j), 0) + c * v
     return acc
 
 
@@ -101,7 +101,8 @@ def _giambelli(terms: Mapping) -> dict:
     poly: dict = {}
     for (a, b), c in terms.items():
         for i in range((a - b) // 2 + 1):
-            _bump(poly, (a - b - 2 * i, b + i), (-1) ** i * comb(a - b - i, i) * c)
+            key = (a - b - 2 * i, b + i)
+            poly[key] = poly.get(key, 0) + (-1) ** i * comb(a - b - i, i) * c
     return poly
 
 
@@ -124,8 +125,8 @@ class CohomologyElement:
             for key, value in items:
                 cls = _as_class(key)
                 if _strict_int(value, "coefficient") and cls.fits(m):
-                    _bump(clean, (cls.a, cls.b), value)
-        self._terms = clean
+                    clean[cls] = clean.get(cls, 0) + value
+        self._terms = {(a, b): c for (a, b), c in clean.items() if c}
 
     @property
     def terms(self) -> Mapping:
@@ -155,7 +156,7 @@ class CohomologyElement:
         self._check_ambient(other)
         acc = dict(self._terms)
         for key, c in other._terms.items():
-            _bump(acc, key, c)
+            acc[key] = acc.get(key, 0) + c
         return CohomologyElement(self.m, acc)
 
     def __neg__(self) -> "CohomologyElement":
@@ -175,7 +176,7 @@ class CohomologyElement:
 
     def __pow__(self, n: int) -> "CohomologyElement":
         if _strict_int(n, "exponent") < 0:
-            raise ValueError("negative powers are not defined")
+            raise InputError("negative powers are not defined")
         return prod(repeat(self, n), start=CohomologyElement.one(self.m))
 
     def __eq__(self, other) -> bool:
@@ -200,7 +201,7 @@ class CohomologyElement:
         if not isinstance(other, CohomologyElement):
             raise TypeError("expected a CohomologyElement, got %r" % (other,))
         if self.m != other.m:
-            raise ValueError("ambient mismatch: G(2,%d) vs G(2,%d)" % (self.m, other.m))
+            raise InputError("ambient mismatch: G(2,%d) vs G(2,%d)" % (self.m, other.m))
 
 
 def sigma(m: int, a: int, b: int = 0) -> CohomologyElement:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -13,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fanojet
-from fanojet.cli import run
-from fanojet.fano import anticanonical_degree
-from fanojet.lines import CompleteIntersection
+from fanojet import catalog
+from fanojet.bounds import min_degree
+from fanojet.catalog import adjunction_cases
+from fanojet.chern import InputError, sym_top_chern
+from fanojet.cli import TEXT_VIEWS, build_parser, run
+from fanojet.fano import anticanonical_degree, h0_of_twist
+from fanojet.lines import CompleteIntersection, LineCount
+from fanojet.schubert import sigma
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +130,19 @@ def test_catalog_verify(capsys):
     assert "12" in text and "consistent" in text
 
 
+def test_failed_catalog_verify_exits_1(capsys, monkeypatch):
+    verify_all = catalog.verify_all
+    broken = [replace(e, degree=23) if e.id == "fano3-7" else e for e in catalog.entries()]
+    monkeypatch.setattr(catalog, "verify_all", lambda: verify_all(broken))
+    assert run(["catalog", "verify"]) == 1
+    text = capsys.readouterr().out.splitlines()
+    assert text[0] == "verified 12 catalog entries: FAILURES"
+    assert any("fano3-7" in line and "degree mismatch" in line for line in text[1:])
+    code, report = run_json(capsys, ["catalog", "verify"])
+    assert code == 1
+    assert report["result"]["ok"] is False and report["result"]["failures"]
+
+
 def test_adjunction_report(capsys):
     code, report = run_json(capsys, ["adjunction", "--dim", "3", "--order", "5"])
     assert code == 0
@@ -176,7 +195,7 @@ def test_missing_required_flag_exits_2(capsys):
     assert run(["lines", "--ambient", "4"]) == 2
 
 
-@pytest.mark.parametrize("error", [AssertionError, ArithmeticError])
+@pytest.mark.parametrize("error", [AssertionError, ArithmeticError, ValueError])
 def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     def failing_check(ci):
         raise error("criterion and class disagree")
@@ -186,6 +205,35 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal check failed: criterion and class disagree\n"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sym_top_chern(0),
+        lambda: sigma(1, 0),
+        lambda: CompleteIntersection(0, ()),
+        lambda: LineCount.finite(-1),
+        lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1),
+        lambda: min_degree(3, 1),
+        lambda: adjunction_cases(2, 2),
+    ],
+    ids=["chern", "schubert", "lines", "line-count", "fano", "bounds", "catalog"],
+)
+def test_library_validators_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()
+
+
+@pytest.mark.parametrize("argv", JSON_INVOCATIONS, ids=lambda a: " ".join(a))
+def test_subcommands_return_reports_and_print_nothing(capsys, argv):
+    args = build_parser().parse_args(argv)
+    report, code = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert code == 0
+    assert list(report)[:4] == ["command", "inputs", "result", "citations"]
+    assert set(report) <= {"command", "inputs", "result", "citations", "notes"}
+    assert report["command"] in TEXT_VIEWS
 
 
 # --- integers past Python's default int-to-str digit limit --------------------
