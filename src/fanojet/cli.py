@@ -1,6 +1,7 @@
 """Command-line front end: one report per subcommand, printed as JSON or text.
 
-Each `_cmd_*` returns its report and exit code; `run` alone prints the report,
+Each `_cmd_*` returns its report and exit code, and imports the modules it
+runs, so a subcommand loads only what it needs.  `run` alone prints the report,
 as JSON with every integer a decimal string (so exact values survive any JSON
 reader) or through its text view.  Exit codes: 0 on success, 1 when a
 consistency check or any internal step fails, 2 on input errors (`InputError`).
@@ -12,12 +13,8 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 
-from . import bounds as bounds_mod
-from . import catalog as catalog_mod
 from .chern import InputError, sym_top_chern, sym_top_chern_paper
-from .fano import analyze
 from .lines import (
     CompleteIntersection,
     LineCount,
@@ -104,6 +101,7 @@ def _cmd_lines(args) -> tuple[dict, int]:
 
 
 def _cmd_fano_ci(args) -> tuple[dict, int]:
+    from .fano import analyze
     ci = CompleteIntersection(args.ambient, _parse_degrees(args.degrees))
     result = asdict(analyze(ci))
     result["line_family"] = _without_none(result["line_family"])
@@ -113,10 +111,11 @@ def _cmd_fano_ci(args) -> tuple[dict, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
+    from . import bounds
     # Without --degree there is nothing to check, and these values stand.
     result = {
-        "min_degree": bounds_mod.min_degree(args.dim, args.order),
-        "min_sections": bounds_mod.min_sections(args.dim, args.order),
+        "min_degree": bounds.min_degree(args.dim, args.order),
+        "min_sections": bounds.min_sections(args.dim, args.order),
         "degree_ok": None,
         "sections_ok": None,
         "borderline_consistent": True,
@@ -124,8 +123,8 @@ def _cmd_bounds(args) -> tuple[dict, int]:
         "failures": (),
     }
     if args.degree is not None:
-        inv = bounds_mod.PolarizedInvariants(args.dim, args.order, args.degree, args.h0)
-        verdict = bounds_mod.check(inv)
+        inv = bounds.PolarizedInvariants(args.dim, args.order, args.degree, args.h0)
+        verdict = bounds.check(inv)
         result.update(asdict(verdict), ok=verdict.ok)
     elif args.h0 is not None:
         raise InputError("--h0 requires --degree")
@@ -135,20 +134,22 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 
 def _cmd_catalog(args) -> tuple[dict, int]:
+    from . import catalog
     if args.action == "verify":
-        outcome = catalog_mod.verify_all()
+        outcome = catalog.verify_all()
         result = {"checked": outcome.checked, "ok": outcome.ok, "failures": outcome.failures}
         citations = [CITE_CATALOG, CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BOX_ORDER]
         return _report("catalog-verify", {}, result, citations, code=0 if outcome.ok else 1)
-    rows = catalog_mod.entries(n=args.dim, k=args.k)
-    result = {"count": len(rows), "entries": catalog_mod.catalog_as_dicts(rows)}
+    rows = catalog.entries(n=args.dim, k=args.k)
+    result = {"count": len(rows), "entries": catalog.catalog_as_dicts(rows)}
     return _report("catalog", {"dim": args.dim, "k": args.k}, result, [CITE_CATALOG])
 
 
 def _cmd_adjunction(args) -> tuple[dict, int]:
+    from . import catalog
     cases = [
         {"case_id": c.case_id, "constraints": c.constraints, "description": c.description}
-        for c in catalog_mod.adjunction_cases(args.dim, args.order)
+        for c in catalog.adjunction_cases(args.dim, args.order)
     ]
     inputs = {"dim": args.dim, "order": args.order}
     return _report("adjunction", inputs, {"cases": cases}, [CITE_NEFVALUE, CITE_CATALOG])
@@ -157,6 +158,7 @@ def _cmd_adjunction(args) -> tuple[dict, int]:
 def _cmd_chern(args) -> tuple[dict, int]:
     result = {"sym": args.sym, **_chern_fields(sym_top_chern(args.sym))}
     if args.paper_formula:
+        from fractions import Fraction
         ratio = Fraction((args.sym + 1) ** 2, args.sym ** 2)
         alt = _chern_fields(sym_top_chern_paper(args.sym))
         result["alternative"] = dict(alt, ratio_to_canonical=str(ratio))
@@ -298,12 +300,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    """Parse argv, run the subcommand and print its report; return the exit code."""
+    """Parse argv, run the subcommand and print its report; return the exit code.
+
+    Python's int-to-str digit limit, a process-wide setting, is lifted while
+    `run` works, so exact integers of any size are parsed and printed; the
+    caller's limit is restored on return.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # argparse already printed its diagnostic
-        return int(exc.code) if exc.code else 0
-    try:
         report, code = args.func(args)
         if args.json:
             print(json.dumps(_encode(report), indent=2))
@@ -311,18 +318,21 @@ def run(argv=None) -> int:
             text = [*TEXT_VIEWS[report["command"]](report["inputs"], report["result"])]
             text += ["note: %s" % note for note in report.get("notes", ())]
             print("\n".join(text))
+    except SystemExit as exc:  # argparse already printed its diagnostic
+        return int(exc.code) if exc.code else 0
     except InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except (AssertionError, ArithmeticError, ValueError) as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return code
 
 
 def main() -> None:
-    if hasattr(sys, "set_int_max_str_digits"):  # print exact integers of any size
-        sys.set_int_max_str_digits(0)
     raise SystemExit(run())
 
 

@@ -123,8 +123,8 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
     """Count or bound the family of lines on a generic complete intersection.
 
     The nonvanishing verdict is computed twice, by the degree inequality
-    sum(d_i) <= 2N - 2 - r and by testing the class directly; disagreement
-    raises, because it would mean an arithmetic bug.
+    sum(d_i) <= 2N - 2 - r and by testing the class directly; disagreement,
+    like a negative count, raises, because it would mean an arithmetic bug.
     """
     if ci.r < 1:
         raise InputError("no hypersurfaces")
@@ -140,7 +140,10 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
     if delta < 0:
         return LineCount.empty()
     if delta == 0:
-        return LineCount.finite(integrate(cls))
+        count = integrate(cls)
+        if count < 0:
+            raise ArithmeticError("negative line count %d for %s" % (count, ci))
+        return LineCount.finite(count)
     return LineCount.family(delta, criterion)
 
 

@@ -207,6 +207,15 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     assert captured.err == "internal check failed: criterion and class disagree\n"
 
 
+def test_negative_line_count_exits_1(capsys, monkeypatch):
+    # LineCount.finite rejects -1 as bad input; inside count_lines it is an internal fault.
+    monkeypatch.setattr("fanojet.lines.integrate", lambda cls: -1)
+    assert run(["lines", "--ambient", "4", "--degrees", "5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed: negative line count -1 ")
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -238,6 +247,22 @@ def test_subcommands_return_reports_and_print_nothing(capsys, argv):
 
 # --- integers past Python's default int-to-str digit limit --------------------
 
+def _assert_prints_degree_of_quadric_1400(text_out, json_out):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = anticanonical_degree(CompleteIntersection(1400, (2,)))
+        assert len(str(expected)) > 4300
+        printed = re.search(r"anticanonical degree \(-K\)\^1399 = (\d+)", text_out)
+        assert int(printed.group(1)) == expected
+        report = json.loads(json_out)
+        assert int(report["result"]["anticanonical_degree"]) == expected
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def test_console_prints_integers_of_any_size():
     argv = ["fano-ci", "--ambient", "1400", "--degrees", "2"]
     src = str(Path(fanojet.__file__).resolve().parents[1])
@@ -248,19 +273,21 @@ def test_console_prints_integers_of_any_size():
         for extra in ([], ["--json"])
     ]
     assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        expected = anticanonical_degree(CompleteIntersection(1400, (2,)))
-        assert len(str(expected)) > 4300
-        printed = re.search(r"anticanonical degree \(-K\)\^1399 = (\d+)", runs[0].stdout)
-        assert int(printed.group(1)) == expected
-        report = json.loads(runs[1].stdout)
-        assert int(report["result"]["anticanonical_degree"]) == expected
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    _assert_prints_degree_of_quadric_1400(runs[0].stdout, runs[1].stdout)
+
+
+def test_run_prints_integers_of_any_size_and_restores_the_limit(capsys):
+    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = get_limit()
+    argv = ["fano-ci", "--ambient", "1400", "--degrees", "2"]
+    outputs = []
+    for extra in ([], ["--json"]):
+        assert run(argv + extra) == 0, capsys.readouterr().err
+        assert get_limit() == limit
+        outputs.append(capsys.readouterr().out)
+    assert run(["lines", "--ambient", "3", "--degrees", "2,2,2"]) == 2
+    assert get_limit() == limit
+    _assert_prints_degree_of_quadric_1400(*outputs)
 
 
 # --- fuzzed argv: every input ends in an answer or a clean error --------------

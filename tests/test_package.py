@@ -1,0 +1,92 @@
+"""The `fanojet` package surface: its public names, and what importing it loads."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import fanojet
+
+PUBLIC_NAMES = [
+    "AdjunctionOutcome", "BoundsVerdict", "CatalogEntry", "CatalogVerification",
+    "ChernPolynomial", "CohomologyElement", "CompleteIntersection", "EmbeddingOrderReport",
+    "LineCount", "PolarizedInvariants", "SchubertClass", "adjunction_cases", "analyze",
+    "anticanonical_degree", "box_product_order", "catalog_as_dicts", "count_lines",
+    "curve_degree_floor", "degree_of_twist", "entries", "expected_family_dimension",
+    "from_chern_poly", "h0_of_twist", "integrate", "line_family_through_point", "lines_class",
+    "min_degree", "min_sections", "mul", "nefvalue_bound", "plucker_degree", "sigma",
+    "sym_top_chern", "sym_top_chern_oracle", "sym_top_chern_paper", "verify_all",
+]
+MODULES = ("schubert", "chern", "lines", "fano", "bounds", "catalog")
+
+
+def test_public_names_are_pinned():
+    assert fanojet.__all__ == PUBLIC_NAMES
+
+
+@pytest.mark.parametrize("name", PUBLIC_NAMES)
+def test_public_name_is_its_home_module_object(name):
+    value = getattr(fanojet, name)
+    home = value.__module__
+    assert home.removeprefix("fanojet.") in MODULES
+    assert value is getattr(importlib.import_module(home), name)
+
+
+def test_star_import_and_submodule_attributes():
+    namespace = {}
+    exec("from fanojet import *", namespace)
+    assert all(namespace[name] is getattr(fanojet, name) for name in PUBLIC_NAMES)
+    assert str(fanojet.chern.sym_top_chern(2)) == "4*c1*c2"
+    assert {name: getattr(fanojet, name).__name__ for name in MODULES} == {
+        name: "fanojet." + name for name in MODULES
+    }
+
+
+def test_dir_lists_every_public_name():
+    assert set(PUBLIC_NAMES) <= set(dir(fanojet))
+    assert "__version__" in dir(fanojet)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="'nope'"):
+        fanojet.nope
+    assert not hasattr(fanojet, "InputError")
+
+
+# --- imports in a fresh interpreter -------------------------------------------
+
+def _loaded_in_fresh_interpreter(code: str) -> set:
+    """Run `code`, then report which fanojet modules and `fractions` it left loaded."""
+    probe = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules"
+        " if m.startswith('fanojet') or m == 'fractions')))"
+    )
+    src = str(Path(fanojet.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_import_fanojet_loads_no_submodule():
+    assert _loaded_in_fresh_interpreter("import fanojet") == {"fanojet"}
+
+
+def test_lines_subcommand_loads_only_what_it_runs():
+    loaded = _loaded_in_fresh_interpreter(
+        "from fanojet.cli import run\nrun(['lines', '--ambient', '4', '--degrees', '5'])"
+    )
+    assert "fanojet.lines" in loaded
+    assert not loaded & {"fanojet.catalog", "fanojet.bounds", "fanojet.fano", "fractions"}
+
+
+def test_submodule_attribute_in_a_fresh_interpreter():
+    loaded = _loaded_in_fresh_interpreter(
+        "import fanojet\nassert str(fanojet.chern.sym_top_chern(2)) == '4*c1*c2'"
+    )
+    assert loaded == {"fanojet", "fanojet.chern"}
