@@ -33,6 +33,8 @@ class PolarizedInvariants:
             raise InputError("order must be >= 0")
         if self.deg < 1:
             raise InputError("degree must be >= 1")
+        if self.h0 is not None and self.h0 < 0:
+            raise InputError("h0 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,18 @@ class BoundsVerdict:
 
 def min_degree(n: int, k: int) -> int:
     """Least possible L^n for a k-very ample L on an n-fold: 2^n + k - 2."""
-    if n < 1:
+    if _strict_int(n, "dimension n") < 1:
         raise InputError("dimension must be >= 1")
-    if k < 2:
+    if _strict_int(k, "order k") < 2:
         raise InputError("degree bound requires k >= 2")
     return 2 ** n + k - 2
 
 
 def min_sections(n: int, k: int) -> int:
     """Least possible h^0(L) for a k-very ample L on an n-fold: 2n + k - 1."""
-    if n < 1:
+    if _strict_int(n, "dimension n") < 1:
         raise InputError("dimension must be >= 1")
-    if k < 2:
+    if _strict_int(k, "order k") < 2:
         raise InputError("section bound requires k >= 2")
     return 2 * n + k - 1
 
@@ -91,9 +93,9 @@ def check(inv: PolarizedInvariants) -> BoundsVerdict:
 
 def nefvalue_bound(n: int, k: int) -> Fraction:
     """Upper bound (n+1)/k for the nefvalue of a k-very ample pair, n >= 3."""
-    if n < 3:
+    if _strict_int(n, "dimension n") < 3:
         raise InputError("nefvalue bound requires n >= 3")
-    if k < 2:
+    if _strict_int(k, "order k") < 2:
         raise InputError("nefvalue bound requires k >= 2")
     return Fraction(n + 1, k)
 
@@ -105,7 +107,7 @@ def box_product_order(k1: int, k2: int) -> int:
     zero-dimensional subscheme, so both projections of a length-(k+1) scheme
     stay within reach of the factors.
     """
-    if k1 < 0 or k2 < 0:
+    if _strict_int(k1, "order k1") < 0 or _strict_int(k2, "order k2") < 0:
         raise InputError("orders must be >= 0")
     return min(k1, k2)
 
@@ -116,6 +118,6 @@ def curve_degree_floor(k: int) -> int:
     A curve of L-degree below this floor certifies failure of k-very
     ampleness.
     """
-    if k < 0:
+    if _strict_int(k, "order k") < 0:
         raise InputError("order must be >= 0")
     return k

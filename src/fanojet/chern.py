@@ -22,6 +22,9 @@ Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
 and multiply by a linear form a*u + b*v in one sweep; they share no kernel.
 The oracle's e1/e2 rewrite tests symmetry once, then peels only the first half
 of the list, carrying each row's binomial coefficients by a rolling product.
+
+`ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
+a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
 """
 
 from __future__ import annotations
@@ -44,7 +47,65 @@ def _strict_int(value, what: str) -> int:
     return value
 
 
-class ChernPolynomial:
+class _Combination:
+    """A Z-combination {key: nonzero int}: the sums, powers and printing of both rings.
+
+    A subclass validates in `__init__`, and supplies `_coerce` (an operand as a
+    value of its space, or None), `_like` (a value of its space from a raw map),
+    `*`, `==` and its monomial format.
+    """
+
+    __slots__ = ("_terms",)
+
+    @property
+    def terms(self) -> Mapping:
+        """Read-only view of the coefficient map."""
+        return MappingProxyType(self._terms)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def coefficient(self, i: int, j: int) -> int:
+        return self._terms.get((i, j), 0)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        acc = dict(self._terms)
+        for key, c in other._terms.items():
+            acc[key] = acc.get(key, 0) + c
+        return self._like(acc)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self._terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other + (-self)
+
+    def __pow__(self, n: int):
+        if _strict_int(n, "exponent") < 0:
+            raise InputError("negative powers are not defined")
+        return prod(repeat(self, n), start=self._like({(0, 0): 1}))
+
+    @staticmethod
+    def _signed_sum(monomials) -> str:
+        """Printed monomials joined into a signed sum; "0" if there are none."""
+        return " + ".join(monomials).replace("+ -", "- ") or "0"
+
+
+class ChernPolynomial(_Combination):
     """Element of Z[c1, c2]; keys are (i, j) for c1^i c2^j, values are ints.
 
     The weighted degree of a monomial is i + 2j.  No relations are imposed;
@@ -52,7 +113,7 @@ class ChernPolynomial:
     and coefficients must be ints; a float or a bool raises TypeError.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | None = None):
         clean: dict = {}
@@ -63,10 +124,6 @@ class ChernPolynomial:
                 if _strict_int(c, "coefficient"):
                     clean[(i, j)] = c
         self._terms = clean
-
-    @property
-    def terms(self) -> Mapping:
-        return MappingProxyType(self._terms)
 
     @classmethod
     def zero(cls) -> "ChernPolynomial":
@@ -84,11 +141,15 @@ class ChernPolynomial:
     def c2(cls) -> "ChernPolynomial":
         return cls({(0, 1): 1})
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    @staticmethod
+    def _coerce(value) -> "ChernPolynomial | None":
+        if isinstance(value, int) and not isinstance(value, bool):
+            return ChernPolynomial({(0, 0): value})
+        return value if isinstance(value, ChernPolynomial) else None
 
-    def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
+    @staticmethod
+    def _like(terms: Mapping) -> "ChernPolynomial":
+        return ChernPolynomial(terms)
 
     def weighted_degrees(self) -> set[int]:
         return {i + 2 * j for (i, j) in self._terms}
@@ -96,34 +157,8 @@ class ChernPolynomial:
     def is_homogeneous(self) -> bool:
         return len(self.weighted_degrees()) <= 1
 
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            acc[key] = acc.get(key, 0) + c
-        return ChernPolynomial(acc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ChernPolynomial":
-        return ChernPolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
-        other = _coerce(other)
+        other = self._coerce(other)
         if other is None:
             return NotImplemented
         acc: dict = {}
@@ -135,45 +170,28 @@ class ChernPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "ChernPolynomial":
-        if _strict_int(n, "exponent") < 0:
-            raise InputError("negative powers are not defined")
-        return prod(repeat(self, n), start=ChernPolynomial.one())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ChernPolynomial) and self._terms == other._terms
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
         parts = []
         for (i, j) in sorted(self._terms, key=lambda k: (-(k[0] + 2 * k[1]), -k[0])):
             c = self._terms[(i, j)]
-            factors = []
-            if c != 1 or (i == 0 and j == 0):
-                factors.append(str(c))
+            factors = [str(c)] if c != 1 or i == j == 0 else []
             if i:
                 factors.append("c1" if i == 1 else "c1^%d" % i)
             if j:
                 factors.append("c2" if j == 1 else "c2^%d" % j)
             parts.append("*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
+        return self._signed_sum(parts)
 
     def __repr__(self) -> str:
         return "ChernPolynomial(%s)" % self
 
 
-def _coerce(value) -> ChernPolynomial | None:
-    if isinstance(value, ChernPolynomial):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return ChernPolynomial({(0, 0): value})
-    return None
-
-
 def _paired_product(d: int, boundary: int) -> ChernPolynomial:
     """Closed form d-th symmetric power top class with a chosen boundary coefficient."""
-    if d < 1:
+    if _strict_int(d, "symmetric power exponent") < 1:
         raise InputError("symmetric power exponent must be >= 1")
     even = 1 - d % 2  # even d carries one more factor (d/2) c1
     form = [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
@@ -198,7 +216,7 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots as a list
     of coefficients indexed by the power of y, then rewrites it in e1, e2.
     """
-    if d < 1:
+    if _strict_int(d, "symmetric power exponent") < 1:
         raise InputError("symmetric power exponent must be >= 1")
     xy = [1]
     for t in range(d + 1):

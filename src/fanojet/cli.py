@@ -4,13 +4,15 @@ Each `_cmd_*` returns its report and exit code, and imports the modules it
 runs, so a subcommand loads only what it needs.  `run` alone prints the report,
 as JSON with every integer a decimal string (so exact values survive any JSON
 reader) or through its text view.  Exit codes: 0 on success, 1 when a
-consistency check or any internal step fails, 2 on input errors (`InputError`).
+consistency check or any internal step fails or (from `main`) stdout was
+closed by its reader, 2 on input errors (`InputError`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
 
@@ -333,7 +335,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """Console entry point: `run`, then exit 1 quietly if the reader closed stdout."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; send that flush to devnull, not the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

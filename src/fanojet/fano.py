@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 
-from .chern import InputError
+from .chern import InputError, _strict_int
 from .lines import (
     CompleteIntersection,
     LineCount,
@@ -47,7 +47,7 @@ class EmbeddingOrderReport:
 
 def degree_of_twist(ci: CompleteIntersection, t: int) -> int:
     """Self-intersection of O_X(t): t^dim times the degree prod(d_i) of X."""
-    return t ** ci.dim * prod(ci.degrees)
+    return _strict_int(t, "twist") ** ci.dim * prod(ci.degrees)
 
 
 def anticanonical_degree(ci: CompleteIntersection) -> int:
@@ -70,7 +70,7 @@ def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
     Hilbert function of the homogeneous coordinate ring:
     sum over S of (-1)^|S| C(N + t - sum_{i in S} d_i, N).
     """
-    if t < 0:
+    if _strict_int(t, "twist") < 0:
         raise InputError("twist must be >= 0")
     total = 0
     for size in range(ci.r + 1):
@@ -96,33 +96,17 @@ def analyze(ci: CompleteIntersection) -> EmbeddingOrderReport:
         family = LineCount.family(2 * (ci.N - 1), True)
     else:
         family = LineCount.finite(1)  # P^1 is the one line of its own ambient
-    through = line_family_through_point(ci)
-
-    jet: int | None = None
-    not_spanned: int | None = None
-    contains: bool | None = None
-    curve_exception = False
-    extrapolated = False
-    if fano:
-        if ci.dim >= 2:
-            jet = ci.N + 1 - total
-            not_spanned = jet + 1
-            contains = True
-        else:
-            curve_exception = ci.N == 2 and ci.degrees == (2,)
-            if not curve_exception:
-                jet = ci.N + 1 - total
-                not_spanned = jet + 1
-                extrapolated = True
+    curve_exception = ci.N == 2 and ci.degrees == (2,)  # the plane conic, a Fano curve
+    jet = ci.N + 1 - total if fano and not curve_exception else None
     return EmbeddingOrderReport(
         is_fano=fano,
         dim=ci.dim,
         jet_order=jet,
-        not_spanned_order=not_spanned,
-        contains_line=contains,
+        not_spanned_order=None if jet is None else jet + 1,
+        contains_line=True if jet is not None and ci.dim >= 2 else None,
         line_family=family,
-        family_through_point=through,
+        family_through_point=line_family_through_point(ci),
         anticanonical_degree=antideg,
         curve_exception=curve_exception,
-        formula_extrapolated=extrapolated,
+        formula_extrapolated=jet is not None and ci.dim == 1,
     )

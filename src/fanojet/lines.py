@@ -71,13 +71,13 @@ class LineCount:
 
     @classmethod
     def finite(cls, count: int) -> "LineCount":
-        if count < 0:
+        if _strict_int(count, "line count") < 0:
             raise InputError("finite line counts are nonnegative")
         return cls("finite", count=count)
 
     @classmethod
     def family(cls, dim: int, nonempty: bool) -> "LineCount":
-        if dim < 1:
+        if _strict_int(dim, "family dimension") < 1:
             raise InputError("family dimension must be >= 1")
         return cls("family", family_dim=dim, nonempty=nonempty)
 

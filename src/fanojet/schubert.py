@@ -22,17 +22,16 @@ enters as such a polynomial by Giambelli,
     sigma(a, b) = c2^b * h_(a-b),  h_k = sum_i (-1)^i C(k-i, i) c1^(k-2i) c2^i.
 
 All coefficients are Python ints, so arithmetic is exact at any size.  Values
-are immutable after construction and every operation is a pure function.
+are immutable after construction and every operation is a pure function.  Sums,
+negation, powers and printing come from the core shared with `chern`.
 """
 
 from __future__ import annotations
 
-from itertools import repeat
-from math import comb, prod
+from math import comb
 from typing import Iterable, Mapping, NamedTuple
-from types import MappingProxyType
 
-from .chern import InputError, _strict_int
+from .chern import InputError, _Combination, _strict_int
 
 
 class SchubertClass(NamedTuple):
@@ -106,7 +105,7 @@ def _giambelli(terms: Mapping) -> dict:
     return poly
 
 
-class CohomologyElement:
+class CohomologyElement(_Combination):
     """Integer combination of Schubert classes of a fixed G(2, m).
 
     The representation is truncated: keys always satisfy a <= m - 2.  The
@@ -115,7 +114,7 @@ class CohomologyElement:
     only ever reads the coefficient of the point class.
     """
 
-    __slots__ = ("m", "_terms")
+    __slots__ = ("m",)
 
     def __init__(self, m: int, terms: Mapping | Iterable | None = None):
         self.m = _ambient(m)
@@ -128,11 +127,6 @@ class CohomologyElement:
                     clean[cls] = clean.get(cls, 0) + value
         self._terms = {(a, b): c for (a, b), c in clean.items() if c}
 
-    @property
-    def terms(self) -> Mapping:
-        """Read-only view of the coefficient map {(a, b): int}."""
-        return MappingProxyType(self._terms)
-
     @classmethod
     def zero(cls, m: int) -> "CohomologyElement":
         return cls(m)
@@ -141,29 +135,19 @@ class CohomologyElement:
     def one(cls, m: int) -> "CohomologyElement":
         return cls(m, {(0, 0): 1})
 
-    def is_zero(self) -> bool:
-        return not self._terms
+    def _coerce(self, other) -> "CohomologyElement | None":
+        """`other` if it lives in the same G(2, m); raises on another ambient."""
+        if not isinstance(other, CohomologyElement):
+            return None
+        if self.m != other.m:
+            raise InputError("ambient mismatch: G(2,%d) vs G(2,%d)" % (self.m, other.m))
+        return other
 
-    def coefficient(self, a: int, b: int) -> int:
-        return self._terms.get((a, b), 0)
+    def _like(self, terms: Mapping) -> "CohomologyElement":
+        return CohomologyElement(self.m, terms)
 
     def codimensions(self) -> set[int]:
         return {a + b for (a, b) in self._terms}
-
-    def __add__(self, other: "CohomologyElement") -> "CohomologyElement":
-        if not isinstance(other, CohomologyElement):
-            return NotImplemented
-        self._check_ambient(other)
-        acc = dict(self._terms)
-        for key, c in other._terms.items():
-            acc[key] = acc.get(key, 0) + c
-        return CohomologyElement(self.m, acc)
-
-    def __neg__(self) -> "CohomologyElement":
-        return CohomologyElement(self.m, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other: "CohomologyElement") -> "CohomologyElement":
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):
@@ -174,34 +158,14 @@ class CohomologyElement:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "CohomologyElement":
-        if _strict_int(n, "exponent") < 0:
-            raise InputError("negative powers are not defined")
-        return prod(repeat(self, n), start=CohomologyElement.one(self.m))
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CohomologyElement)
-            and self.m == other.m
-            and self._terms == other._terms
-        )
+        same_space = isinstance(other, CohomologyElement) and self.m == other.m
+        return same_space and self._terms == other._terms
 
     def __repr__(self) -> str:
-        if not self._terms:
-            body = "0"
-        else:
-            parts = []
-            for (a, b) in sorted(self._terms, key=lambda k: (k[0] + k[1], -k[0])):
-                c = self._terms[(a, b)]
-                parts.append("%d*s[%d,%d]" % (c, a, b))
-            body = " + ".join(parts).replace("+ -", "- ")
+        order = sorted(self._terms, key=lambda k: (k[0] + k[1], -k[0]))
+        body = self._signed_sum("%d*s[%d,%d]" % (self._terms[k], *k) for k in order)
         return "<%s in G(2,%d)>" % (body, self.m)
-
-    def _check_ambient(self, other: "CohomologyElement") -> None:
-        if not isinstance(other, CohomologyElement):
-            raise TypeError("expected a CohomologyElement, got %r" % (other,))
-        if self.m != other.m:
-            raise InputError("ambient mismatch: G(2,%d) vs G(2,%d)" % (self.m, other.m))
 
 
 def sigma(m: int, a: int, b: int = 0) -> CohomologyElement:
@@ -212,7 +176,8 @@ def sigma(m: int, a: int, b: int = 0) -> CohomologyElement:
 
 def mul(x: CohomologyElement, y: CohomologyElement) -> CohomologyElement:
     """Product in H*(G(2, m)); raises on mismatched ambients."""
-    x._check_ambient(y)
+    if x._coerce(y) is None:
+        raise TypeError("expected a CohomologyElement, got %r" % (y,))
     left, right = (x, y) if len(x._terms) <= len(y._terms) else (y, x)
     return CohomologyElement(x.m, _act(x.m, _giambelli(left._terms), right._terms))
 

@@ -153,6 +153,7 @@ def test_negative_exponent_rejected():
         lambda: poly({(1, 0): True}),
         lambda: ChernPolynomial.c1() + True,  # once read as c1 + 1
         lambda: True - ChernPolynomial.c1(),
+        lambda: ChernPolynomial.c1() - True,
         lambda: ChernPolynomial.c2() * False,
         lambda: ChernPolynomial.c1() ** True,
     ],

@@ -15,11 +15,17 @@ from hypothesis import given, settings, strategies as st
 
 import fanojet
 from fanojet import catalog
-from fanojet.bounds import min_degree
+from fanojet.bounds import (
+    box_product_order,
+    curve_degree_floor,
+    min_degree,
+    min_sections,
+    nefvalue_bound,
+)
 from fanojet.catalog import adjunction_cases
-from fanojet.chern import InputError, sym_top_chern
+from fanojet.chern import InputError, sym_top_chern, sym_top_chern_oracle, sym_top_chern_paper
 from fanojet.cli import TEXT_VIEWS, build_parser, run
-from fanojet.fano import anticanonical_degree, h0_of_twist
+from fanojet.fano import anticanonical_degree, degree_of_twist, h0_of_twist
 from fanojet.lines import CompleteIntersection, LineCount
 from fanojet.schubert import sigma
 
@@ -176,6 +182,7 @@ def test_chern_without_variant_has_no_alternative(capsys):
         ["fano-ci", "--ambient", "2", "--degrees", "2,2"],
         ["bounds", "--dim", "3", "--order", "1", "--degree", "9"],
         ["bounds", "--dim", "3", "--order", "2", "--h0", "9"],
+        ["bounds", "--dim", "3", "--order", "2", "--degree", "8", "--h0", "-1"],  # once FAIL
         ["adjunction", "--dim", "2", "--order", "2"],
         ["chern", "--sym", "0"],
     ],
@@ -234,6 +241,31 @@ def test_library_validators_raise_input_error(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: sym_top_chern(True),                                    # once c2
+        lambda: sym_top_chern_paper(True),                              # once 4*c2
+        lambda: sym_top_chern_oracle(2.0),
+        lambda: LineCount.finite(2.5),
+        lambda: LineCount.family(2.0, True),
+        lambda: degree_of_twist(CompleteIntersection(4, (3,)), 2.0),    # once 24.0
+        lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1.0),       # type before domain
+        lambda: min_degree(2.5, 2),                                     # once 5.656...
+        lambda: min_sections(3.0, 2),                                   # once 7.0
+        lambda: nefvalue_bound(5, True),
+        lambda: box_product_order(True, 2),                             # once True
+        lambda: curve_degree_floor(2.5),                                # once 2.5
+        lambda: adjunction_cases(3.0, 2.0),
+    ],
+    ids=["sym", "sym-paper", "sym-oracle", "finite", "family", "degree-twist", "h0-twist",
+         "min-degree", "min-sections", "nefvalue", "box-product", "curve-floor", "adjunction"],
+)
+def test_library_numbers_reject_non_int(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 @pytest.mark.parametrize("argv", JSON_INVOCATIONS, ids=lambda a: " ".join(a))
 def test_subcommands_return_reports_and_print_nothing(capsys, argv):
     args = build_parser().parse_args(argv)
@@ -274,6 +306,21 @@ def test_console_prints_integers_of_any_size():
     ]
     assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
     _assert_prints_degree_of_quadric_1400(runs[0].stdout, runs[1].stdout)
+
+
+def test_console_exits_1_quietly_when_stdout_is_closed():
+    src = str(Path(fanojet.__file__).resolve().parents[1])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanojet.cli", "lines", "--ambient", "4", "--degrees", "5"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_run_prints_integers_of_any_size_and_restores_the_limit(capsys):

@@ -217,6 +217,8 @@ def test_small_ambient_rejected():
         lambda: from_chern_poly(ChernPolynomial.c1(), 5.0),
         lambda: sigma(5, 1) + 1,                                 # once AttributeError
         lambda: sigma(5, 1) - 1,
+        lambda: 1 + sigma(5, 1),
+        lambda: 2 - sigma(5, 1),
         lambda: mul(sigma(5, 1), 2),
     ],
 )
