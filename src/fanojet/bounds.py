@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import InputError, _strict_int
+from .chern import InputError, _at_least, _strict_int
 
 
 @dataclass(frozen=True)
@@ -53,19 +53,15 @@ class BoundsVerdict:
 
 def min_degree(n: int, k: int) -> int:
     """Least possible L^n for a k-very ample L on an n-fold: 2^n + k - 2."""
-    if _strict_int(n, "dimension n") < 1:
-        raise InputError("dimension must be >= 1")
-    if _strict_int(k, "order k") < 2:
-        raise InputError("degree bound requires k >= 2")
+    _at_least(n, 1, "dimension n", "dimension must be >= 1")
+    _at_least(k, 2, "order k", "degree bound requires k >= 2")
     return 2 ** n + k - 2
 
 
 def min_sections(n: int, k: int) -> int:
     """Least possible h^0(L) for a k-very ample L on an n-fold: 2n + k - 1."""
-    if _strict_int(n, "dimension n") < 1:
-        raise InputError("dimension must be >= 1")
-    if _strict_int(k, "order k") < 2:
-        raise InputError("section bound requires k >= 2")
+    _at_least(n, 1, "dimension n", "dimension must be >= 1")
+    _at_least(k, 2, "order k", "section bound requires k >= 2")
     return 2 * n + k - 1
 
 
@@ -93,10 +89,8 @@ def check(inv: PolarizedInvariants) -> BoundsVerdict:
 
 def nefvalue_bound(n: int, k: int) -> Fraction:
     """Upper bound (n+1)/k for the nefvalue of a k-very ample pair, n >= 3."""
-    if _strict_int(n, "dimension n") < 3:
-        raise InputError("nefvalue bound requires n >= 3")
-    if _strict_int(k, "order k") < 2:
-        raise InputError("nefvalue bound requires k >= 2")
+    _at_least(n, 3, "dimension n", "nefvalue bound requires n >= 3")
+    _at_least(k, 2, "order k", "nefvalue bound requires k >= 2")
     return Fraction(n + 1, k)
 
 
@@ -107,9 +101,8 @@ def box_product_order(k1: int, k2: int) -> int:
     zero-dimensional subscheme, so both projections of a length-(k+1) scheme
     stay within reach of the factors.
     """
-    if _strict_int(k1, "order k1") < 0 or _strict_int(k2, "order k2") < 0:
-        raise InputError("orders must be >= 0")
-    return min(k1, k2)
+    return min(_at_least(k1, 0, "order k1", "orders must be >= 0"),
+               _at_least(k2, 0, "order k2", "orders must be >= 0"))
 
 
 def curve_degree_floor(k: int) -> int:
@@ -118,6 +111,4 @@ def curve_degree_floor(k: int) -> int:
     A curve of L-degree below this floor certifies failure of k-very
     ampleness.
     """
-    if _strict_int(k, "order k") < 0:
-        raise InputError("order must be >= 0")
-    return k
+    return _at_least(k, 0, "order k", "order must be >= 0")

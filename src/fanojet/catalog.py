@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable
 
 from .bounds import PolarizedInvariants, box_product_order, check
-from .chern import InputError, _strict_int
+from .chern import _at_least
 from .fano import analyze, degree_of_twist, h0_of_twist
 from .lines import CompleteIntersection
 
@@ -463,8 +463,6 @@ _ADJUNCTION: tuple[AdjunctionOutcome, ...] = (
 
 def adjunction_cases(n: int, k: int) -> list[AdjunctionOutcome]:
     """The outcomes whose integer constraints admit (n, k); n >= 3, k >= 2."""
-    if _strict_int(n, "dimension n") < 3:
-        raise InputError("adjunction table requires n >= 3")
-    if _strict_int(k, "order k") < 2:
-        raise InputError("adjunction table requires k >= 2")
+    _at_least(n, 3, "dimension n", "adjunction table requires n >= 3")
+    _at_least(k, 2, "order k", "adjunction table requires k >= 2")
     return [case for case in _ADJUNCTION if case.admits(n, k)]

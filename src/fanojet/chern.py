@@ -47,6 +47,13 @@ def _strict_int(value, what: str) -> int:
     return value
 
 
+def _at_least(value, floor: int, what: str, message: str) -> int:
+    """`_strict_int(value, what)`, then InputError(message) if it is below `floor`."""
+    if _strict_int(value, what) < floor:
+        raise InputError(message)
+    return value
+
+
 class _Combination:
     """A Z-combination {key: nonzero int}: the sums, powers and printing of both rings.
 
@@ -66,7 +73,7 @@ class _Combination:
         return not self._terms
 
     def coefficient(self, i: int, j: int) -> int:
-        return self._terms.get((i, j), 0)
+        return self._terms.get((_strict_int(i, "index"), _strict_int(j, "index")), 0)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -95,8 +102,7 @@ class _Combination:
         return other + (-self)
 
     def __pow__(self, n: int):
-        if _strict_int(n, "exponent") < 0:
-            raise InputError("negative powers are not defined")
+        _at_least(n, 0, "exponent", "negative powers are not defined")
         return prod(repeat(self, n), start=self._like({(0, 0): 1}))
 
     @staticmethod
@@ -119,7 +125,8 @@ class ChernPolynomial(_Combination):
         clean: dict = {}
         if terms:
             for (i, j), c in terms.items():
-                if _strict_int(i, "exponent") < 0 or _strict_int(j, "exponent") < 0:
+                _strict_int(i, "exponent"), _strict_int(j, "exponent")
+                if i < 0 or j < 0:
                     raise InputError("negative exponent in (%d, %d)" % (i, j))
                 if _strict_int(c, "coefficient"):
                     clean[(i, j)] = c
@@ -191,8 +198,7 @@ class ChernPolynomial(_Combination):
 
 def _paired_product(d: int, boundary: int) -> ChernPolynomial:
     """Closed form d-th symmetric power top class with a chosen boundary coefficient."""
-    if _strict_int(d, "symmetric power exponent") < 1:
-        raise InputError("symmetric power exponent must be >= 1")
+    _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
     even = 1 - d % 2  # even d carries one more factor (d/2) c1
     form = [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
     for t in range(1, (d - 1) // 2 + 1):
@@ -216,8 +222,7 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots as a list
     of coefficients indexed by the power of y, then rewrites it in e1, e2.
     """
-    if _strict_int(d, "symmetric power exponent") < 1:
-        raise InputError("symmetric power exponent must be >= 1")
+    _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
     xy = [1]
     for t in range(d + 1):
         xy = [t * p + (d - t) * q for p, q in zip(xy + [0], [0] + xy)]

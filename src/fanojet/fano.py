@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 
-from .chern import InputError, _strict_int
+from .chern import InputError, _at_least, _strict_int
 from .lines import (
     CompleteIntersection,
     LineCount,
@@ -70,8 +70,7 @@ def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
     Hilbert function of the homogeneous coordinate ring:
     sum over S of (-1)^|S| C(N + t - sum_{i in S} d_i, N).
     """
-    if _strict_int(t, "twist") < 0:
-        raise InputError("twist must be >= 0")
+    _at_least(t, 0, "twist", "twist must be >= 0")
     total = 0
     for size in range(ci.r + 1):
         for subset in combinations(ci.degrees, size):
@@ -82,20 +81,12 @@ def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
 def analyze(ci: CompleteIntersection) -> EmbeddingOrderReport:
     """Jet order of -K_X, line-family data, and the anticanonical degree.
 
-    r = 0 means X = P^N itself.  Raises for r >= N (not positive-dimensional).
+    r = 0 means X = P^N itself.  Raises for r >= N, through `count_lines`.
     """
-    if ci.r >= ci.N:
-        raise InputError("not positive-dimensional")
+    family = count_lines(ci)
     total = ci.degree_sum
     fano = total <= ci.N
     antideg = degree_of_twist(ci, ci.N + 1 - total)
-    if ci.r >= 1:
-        family = count_lines(ci)
-    elif ci.N >= 2:
-        # the lines of P^N form the whole Grassmannian G(2, N+1)
-        family = LineCount.family(2 * (ci.N - 1), True)
-    else:
-        family = LineCount.finite(1)  # P^1 is the one line of its own ambient
     curve_exception = ci.N == 2 and ci.degrees == (2,)  # the plane conic, a Fano curve
     jet = ci.N + 1 - total if fano and not curve_exception else None
     return EmbeddingOrderReport(

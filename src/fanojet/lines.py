@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .chern import ChernPolynomial, InputError, _strict_int, sym_top_chern
+from .chern import ChernPolynomial, InputError, _at_least, _strict_int, sym_top_chern
 from .schubert import CohomologyElement, from_chern_poly, integrate
 
 
@@ -71,14 +71,12 @@ class LineCount:
 
     @classmethod
     def finite(cls, count: int) -> "LineCount":
-        if _strict_int(count, "line count") < 0:
-            raise InputError("finite line counts are nonnegative")
+        _at_least(count, 0, "line count", "finite line counts are nonnegative")
         return cls("finite", count=count)
 
     @classmethod
     def family(cls, dim: int, nonempty: bool) -> "LineCount":
-        if _strict_int(dim, "family dimension") < 1:
-            raise InputError("family dimension must be >= 1")
+        _at_least(dim, 1, "family dimension", "family dimension must be >= 1")
         return cls("family", family_dim=dim, nonempty=nonempty)
 
     @classmethod
@@ -111,10 +109,9 @@ def expected_family_dimension(ci: CompleteIntersection) -> int:
 def lines_class(ci: CompleteIntersection) -> CohomologyElement:
     """Class of the locus of lines on X in H*(G(2, N+1)).
 
-    The factors are multiplied in Z[c1, c2] and substituted into it once.
+    The factors are multiplied in Z[c1, c2] and substituted into it once.  For
+    X = P^N (r = 0) the product is empty and the class is the unit: every line.
     """
-    if ci.r < 1:
-        raise InputError("no hypersurfaces")
     product = prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
     return from_chern_poly(product, ci.N + 1)
 
@@ -125,9 +122,8 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
     The nonvanishing verdict is computed twice, by the degree inequality
     sum(d_i) <= 2N - 2 - r and by testing the class directly; disagreement,
     like a negative count, raises, because it would mean an arithmetic bug.
+    X = P^N (r = 0) takes the same route, its class being the unit.
     """
-    if ci.r < 1:
-        raise InputError("no hypersurfaces")
     if ci.r >= ci.N:
         raise InputError("not positive-dimensional")
     delta = expected_family_dimension(ci)

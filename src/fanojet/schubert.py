@@ -29,9 +29,9 @@ negation, powers and printing come from the core shared with `chern`.
 from __future__ import annotations
 
 from math import comb
-from typing import Iterable, Mapping, NamedTuple
+from typing import Mapping, NamedTuple
 
-from .chern import InputError, _Combination, _strict_int
+from .chern import InputError, _at_least, _Combination, _strict_int
 
 
 class SchubertClass(NamedTuple):
@@ -60,9 +60,7 @@ def _as_class(key) -> SchubertClass:
 
 
 def _ambient(m) -> int:
-    if _strict_int(m, "Grassmannian parameter m") < 2:
-        raise InputError("Grassmannian parameter m must be >= 2")
-    return m
+    return _at_least(m, 2, "Grassmannian parameter m", "Grassmannian parameter m must be >= 2")
 
 
 def _pieri_one(m: int, terms: Mapping) -> dict:
@@ -108,24 +106,24 @@ def _giambelli(terms: Mapping) -> dict:
 class CohomologyElement(_Combination):
     """Integer combination of Schubert classes of a fixed G(2, m).
 
-    The representation is truncated: keys always satisfy a <= m - 2.  The
-    parameter m, the partition parts and the coefficients must be ints.
+    Built from a mapping {(a, b): coefficient}.  The representation is
+    truncated: keys always satisfy a <= m - 2.  The parameter m, the partition
+    parts and the coefficients must be ints.
     Heterogeneous (mixed-codimension) combinations are allowed; integration
     only ever reads the coefficient of the point class.
     """
 
     __slots__ = ("m",)
 
-    def __init__(self, m: int, terms: Mapping | Iterable | None = None):
+    def __init__(self, m: int, terms: Mapping | None = None):
         self.m = _ambient(m)
         clean: dict = {}
         if terms:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for key, value in items:
+            for key, value in terms.items():
                 cls = _as_class(key)
                 if _strict_int(value, "coefficient") and cls.fits(m):
-                    clean[cls] = clean.get(cls, 0) + value
-        self._terms = {(a, b): c for (a, b), c in clean.items() if c}
+                    clean[cls.a, cls.b] = value
+        self._terms = clean
 
     @classmethod
     def zero(cls, m: int) -> "CohomologyElement":
@@ -176,8 +174,10 @@ def sigma(m: int, a: int, b: int = 0) -> CohomologyElement:
 
 def mul(x: CohomologyElement, y: CohomologyElement) -> CohomologyElement:
     """Product in H*(G(2, m)); raises on mismatched ambients."""
-    if x._coerce(y) is None:
-        raise TypeError("expected a CohomologyElement, got %r" % (y,))
+    for z in (x, y):
+        if not isinstance(z, CohomologyElement):
+            raise TypeError("expected a CohomologyElement, got %r" % (z,))
+    x._coerce(y)  # raises InputError on another ambient
     left, right = (x, y) if len(x._terms) <= len(y._terms) else (y, x)
     return CohomologyElement(x.m, _act(x.m, _giambelli(left._terms), right._terms))
 

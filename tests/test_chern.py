@@ -156,6 +156,7 @@ def test_negative_exponent_rejected():
         lambda: ChernPolynomial.c1() - True,
         lambda: ChernPolynomial.c2() * False,
         lambda: ChernPolynomial.c1() ** True,
+        lambda: ChernPolynomial.c1().coefficient(True, 0),  # once 1
     ],
 )
 def test_chern_polynomial_rejects_non_int(build):

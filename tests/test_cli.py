@@ -23,7 +23,13 @@ from fanojet.bounds import (
     nefvalue_bound,
 )
 from fanojet.catalog import adjunction_cases
-from fanojet.chern import InputError, sym_top_chern, sym_top_chern_oracle, sym_top_chern_paper
+from fanojet.chern import (
+    ChernPolynomial,
+    InputError,
+    sym_top_chern,
+    sym_top_chern_oracle,
+    sym_top_chern_paper,
+)
 from fanojet.cli import TEXT_VIEWS, build_parser, run
 from fanojet.fano import anticanonical_degree, degree_of_twist, h0_of_twist
 from fanojet.lines import CompleteIntersection, LineCount
@@ -223,21 +229,31 @@ def test_negative_line_count_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("internal check failed: negative line count -1 ")
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: sym_top_chern(0),
-        lambda: sigma(1, 0),
-        lambda: CompleteIntersection(0, ()),
-        lambda: LineCount.finite(-1),
-        lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1),
-        lambda: min_degree(3, 1),
-        lambda: adjunction_cases(2, 2),
-    ],
-    ids=["chern", "schubert", "lines", "line-count", "fano", "bounds", "catalog"],
-)
-def test_library_validators_raise_input_error(call):
-    with pytest.raises(InputError):
+_VALIDATORS = {
+    "chern": (lambda: sym_top_chern(0), "symmetric power exponent must be >= 1"),
+    "chern-oracle": (lambda: sym_top_chern_oracle(0), "symmetric power exponent must be >= 1"),
+    "chern-power": (lambda: ChernPolynomial.c1() ** -1, "negative powers are not defined"),
+    "schubert": (lambda: sigma(1, 0), "Grassmannian parameter m must be >= 2"),
+    "lines": (lambda: CompleteIntersection(0, ()), "ambient dimension N must be >= 1"),
+    "line-count": (lambda: LineCount.finite(-1), "finite line counts are nonnegative"),
+    "line-family": (lambda: LineCount.family(0, True), "family dimension must be >= 1"),
+    "fano": (lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1), "twist must be >= 0"),
+    "bounds": (lambda: min_degree(3, 1), "degree bound requires k >= 2"),
+    "min-degree-n": (lambda: min_degree(0, 2), "dimension must be >= 1"),
+    "min-sections-n": (lambda: min_sections(0, 2), "dimension must be >= 1"),
+    "min-sections-k": (lambda: min_sections(3, 1), "section bound requires k >= 2"),
+    "nefvalue-n": (lambda: nefvalue_bound(2, 2), "nefvalue bound requires n >= 3"),
+    "nefvalue-k": (lambda: nefvalue_bound(3, 1), "nefvalue bound requires k >= 2"),
+    "box-product": (lambda: box_product_order(2, -1), "orders must be >= 0"),
+    "curve-floor": (lambda: curve_degree_floor(-1), "order must be >= 0"),
+    "catalog": (lambda: adjunction_cases(2, 2), "adjunction table requires n >= 3"),
+    "catalog-k": (lambda: adjunction_cases(3, 1), "adjunction table requires k >= 2"),
+}
+
+
+@pytest.mark.parametrize("call,message", _VALIDATORS.values(), ids=_VALIDATORS.keys())
+def test_library_validators_raise_input_error(call, message):
+    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
         call()
 
 

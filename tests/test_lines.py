@@ -34,9 +34,9 @@ def test_overloaded_intersection_class_vanishes():
     assert lines_class(ci(5, 2, 2, 2)).is_zero()
 
 
-def test_lines_class_requires_hypersurfaces():
-    with pytest.raises(ValueError, match="no hypersurfaces"):
-        lines_class(ci(4))
+def test_lines_class_of_projective_space_is_unit():
+    # r = 0: the empty product, so every line of P^4 counts
+    assert lines_class(ci(4)) == CohomologyElement.one(5)
 
 
 # --- classical finite counts ----------------------------------------------------
@@ -91,8 +91,9 @@ def test_negative_expected_dimension_is_empty():
 
 
 def test_count_lines_preconditions():
-    with pytest.raises(ValueError, match="no hypersurfaces"):
-        count_lines(ci(4))
+    # P^N takes the general route: all of G(2, N+1), or the single line P^1
+    assert count_lines(ci(4)) == LineCount.family(6, True)
+    assert count_lines(ci(1)) == LineCount.finite(1)
     with pytest.raises(ValueError, match="not positive-dimensional"):
         count_lines(ci(3, 2, 2, 2))
 

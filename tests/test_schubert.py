@@ -220,6 +220,8 @@ def test_small_ambient_rejected():
         lambda: 1 + sigma(5, 1),
         lambda: 2 - sigma(5, 1),
         lambda: mul(sigma(5, 1), 2),
+        lambda: mul(2, sigma(5, 1)),                             # once AttributeError
+        lambda: sigma(5, 1).coefficient(1.0, 0),                 # once 1
     ],
 )
 def test_cohomology_element_rejects_non_int(build):
