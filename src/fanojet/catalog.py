@@ -19,7 +19,7 @@ from functools import reduce
 from typing import Callable
 
 from .bounds import PolarizedInvariants, box_product_order, check
-from .chern import _at_least
+from .chern import _at_least, _strict_int
 from .fano import analyze, degree_of_twist, h0_of_twist
 from .lines import CompleteIntersection
 
@@ -275,16 +275,13 @@ def entries(
 
     `k` filters on k_very_ample.
     """
-    out = []
-    for e in _ENTRIES:
-        if n is not None and e.n != n:
-            continue
-        if k is not None and e.k_very_ample != k:
-            continue
-        if entry_id is not None and e.id != entry_id:
-            continue
-        out.append(e)
-    return out
+    for value, what in ((n, "dimension filter"), (k, "k filter")):
+        if value is not None:
+            _strict_int(value, what)
+    return [
+        e for e in _ENTRIES
+        if n in (None, e.n) and k in (None, e.k_very_ample) and entry_id in (None, e.id)
+    ]
 
 
 @dataclass(frozen=True)

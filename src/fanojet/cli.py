@@ -138,6 +138,8 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 def _cmd_catalog(args) -> tuple[dict, int]:
     from . import catalog
     if args.action == "verify":
+        if args.dim is not None or args.k is not None:
+            raise InputError("catalog verify takes no --k or --dim filter")
         outcome = catalog.verify_all()
         result = {"checked": outcome.checked, "ok": outcome.ok, "failures": outcome.failures}
         citations = [CITE_CATALOG, CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BOX_ORDER]

@@ -8,9 +8,9 @@ c_(d_i+1)(Sym^(d_i) F).  The expected dimension of the family of lines is
 
     delta = 2(N - 1) - sum(d_i + 1).
 
-When delta = 0 the integral of the class is the (multiplicity-counted) number
-of lines on a generic member; when delta > 0 the class is nonzero, and the
-family nonempty, exactly when sum(d_i) <= 2N - 2 - r.
+The class is nonzero, and the family of lines on a generic member nonempty,
+exactly when delta >= 0 (Debarre-Manivel); when delta = 0 its integral is the
+(multiplicity-counted) number of lines.  X must be positive-dimensional.
 """
 
 from __future__ import annotations
@@ -102,6 +102,11 @@ class LineCount:
         return "empty"
 
 
+def _positive_dimensional(ci: CompleteIntersection) -> CompleteIntersection:
+    _at_least(ci.dim, 1, "dimension", "not positive-dimensional")
+    return ci
+
+
 def expected_family_dimension(ci: CompleteIntersection) -> int:
     return 2 * (ci.N - 1) - sum(d + 1 for d in ci.degrees)
 
@@ -119,17 +124,14 @@ def lines_class(ci: CompleteIntersection) -> CohomologyElement:
 def count_lines(ci: CompleteIntersection) -> LineCount:
     """Count or bound the family of lines on a generic complete intersection.
 
-    The nonvanishing verdict is computed twice, by the degree inequality
-    sum(d_i) <= 2N - 2 - r and by testing the class directly; disagreement,
+    X must be positive-dimensional.  The nonvanishing verdict is computed twice,
+    by the criterion delta >= 0 and by testing the class directly; disagreement,
     like a negative count, raises, because it would mean an arithmetic bug.
     X = P^N (r = 0) takes the same route, its class being the unit.
     """
-    if ci.r >= ci.N:
-        raise InputError("not positive-dimensional")
-    delta = expected_family_dimension(ci)
+    delta = expected_family_dimension(_positive_dimensional(ci))
     cls = lines_class(ci)
-    criterion = ci.degree_sum <= 2 * ci.N - 2 - ci.r
-    if criterion != (not cls.is_zero()):
+    if (delta >= 0) == cls.is_zero():
         raise AssertionError(
             "degree criterion and direct class computation disagree for %s" % ci
         )
@@ -140,7 +142,7 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
         if count < 0:
             raise ArithmeticError("negative line count %d for %s" % (count, ci))
         return LineCount.finite(count)
-    return LineCount.family(delta, criterion)
+    return LineCount.family(delta, True)
 
 
 def line_family_through_point(ci: CompleteIntersection) -> int | None:

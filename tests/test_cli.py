@@ -31,7 +31,7 @@ from fanojet.chern import (
     sym_top_chern_paper,
 )
 from fanojet.cli import TEXT_VIEWS, build_parser, run
-from fanojet.fano import anticanonical_degree, degree_of_twist, h0_of_twist
+from fanojet.fano import analyze, anticanonical_degree, degree_of_twist, h0_of_twist
 from fanojet.lines import CompleteIntersection, LineCount
 from fanojet.schubert import sigma
 
@@ -191,6 +191,8 @@ def test_chern_without_variant_has_no_alternative(capsys):
         ["bounds", "--dim", "3", "--order", "2", "--degree", "8", "--h0", "-1"],  # once FAIL
         ["adjunction", "--dim", "2", "--order", "2"],
         ["chern", "--sym", "0"],
+        ["catalog", "verify", "--k", "3"],  # once ignored, exit 0
+        ["catalog", "verify", "--dim", "9"],
     ],
     ids=lambda a: " ".join(a),
 )
@@ -229,6 +231,17 @@ def test_negative_line_count_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("internal check failed: negative line count -1 ")
 
 
+def test_fano_without_a_line_exits_1(capsys, monkeypatch):
+    # The exact order of a Fano X of dimension >= 2 rests on a line; no line is a fault.
+    monkeypatch.setattr("fanojet.fano.count_lines", lambda ci: LineCount.empty())
+    with pytest.raises(AssertionError, match="^no line on the Fano CI\\(3\\) in P\\^4"):
+        analyze(CompleteIntersection(4, (3,)))
+    assert run(["fano-ci", "--ambient", "4", "--degrees", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal check failed: no line on the Fano ")
+
+
 _VALIDATORS = {
     "chern": (lambda: sym_top_chern(0), "symmetric power exponent must be >= 1"),
     "chern-oracle": (lambda: sym_top_chern_oracle(0), "symmetric power exponent must be >= 1"),
@@ -238,6 +251,10 @@ _VALIDATORS = {
     "line-count": (lambda: LineCount.finite(-1), "finite line counts are nonnegative"),
     "line-family": (lambda: LineCount.family(0, True), "family dimension must be >= 1"),
     "fano": (lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1), "twist must be >= 0"),
+    "degree-twist-dim": (lambda: degree_of_twist(CompleteIntersection(2, (2, 2, 2)), 2),
+                         "not positive-dimensional"),  # once 4.0
+    "h0-twist-dim": (lambda: h0_of_twist(CompleteIntersection(2, (2, 2, 2)), 3),
+                     "not positive-dimensional"),  # once 1
     "bounds": (lambda: min_degree(3, 1), "degree bound requires k >= 2"),
     "min-degree-n": (lambda: min_degree(0, 2), "dimension must be >= 1"),
     "min-sections-n": (lambda: min_sections(0, 2), "dimension must be >= 1"),
@@ -273,9 +290,13 @@ def test_library_validators_raise_input_error(call, message):
         lambda: box_product_order(True, 2),                             # once True
         lambda: curve_degree_floor(2.5),                                # once 2.5
         lambda: adjunction_cases(3.0, 2.0),
+        lambda: catalog.entries(n=3.0),                                 # once the 10 threefolds
+        lambda: catalog.entries(n=True),                                # once []
+        lambda: catalog.entries(k=2.0),
     ],
     ids=["sym", "sym-paper", "sym-oracle", "finite", "family", "degree-twist", "h0-twist",
-         "min-degree", "min-sections", "nefvalue", "box-product", "curve-floor", "adjunction"],
+         "min-degree", "min-sections", "nefvalue", "box-product", "curve-floor", "adjunction",
+         "entries-n", "entries-n-bool", "entries-k"],
 )
 def test_library_numbers_reject_non_int(call):
     with pytest.raises(TypeError):

@@ -1,13 +1,24 @@
+from dataclasses import fields, is_dataclass
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanojet.bounds import min_degree, min_sections
+from fanojet.chern import InputError
 from fanojet.fano import (
     analyze,
     anticanonical_degree,
     degree_of_twist,
     h0_of_twist,
 )
-from fanojet.lines import CompleteIntersection
+from fanojet.lines import (
+    CompleteIntersection,
+    count_lines,
+    expected_family_dimension,
+    line_family_through_point,
+    lines_class,
+)
+from fanojet.schubert import CohomologyElement
 
 from oracles import monomial_hilbert
 
@@ -143,3 +154,63 @@ def test_fano_sweep_consistency():
                 # jet ample at order k implies k-very ample, so the floors apply
                 assert rep.anticanonical_degree >= min_degree(c.dim, k)
                 assert h0_of_twist(c, k) >= min_sections(c.dim, k)
+
+
+# --- the domain: every function of X answers exactly or raises InputError -----------
+
+_DIMENSION_RULED = {
+    "count_lines": count_lines,
+    "analyze": analyze,
+    "anticanonical_degree": anticanonical_degree,
+    "degree_of_twist": lambda c: degree_of_twist(c, 2),
+    "h0_of_twist": lambda c: h0_of_twist(c, 3),
+}
+_ANY_DIMENSION = {
+    "expected_family_dimension": expected_family_dimension,
+    "lines_class": lines_class,
+    "line_family_through_point": line_family_through_point,
+}
+
+
+@pytest.mark.parametrize("c", [ci(2, 2, 2, 2), ci(3, 2, 2, 2)], ids=str)
+@pytest.mark.parametrize("call", _DIMENSION_RULED.values(), ids=_DIMENSION_RULED.keys())
+def test_not_positive_dimensional_is_rejected(call, c):
+    with pytest.raises(InputError, match="^not positive-dimensional$"):
+        call(c)
+
+
+def _exact(value) -> bool:
+    """True if `value` holds only ints, strs and None, through records, tuples and classes."""
+    if is_dataclass(value):
+        return all(_exact(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, CohomologyElement):
+        return _exact(tuple(value.terms.items()))
+    if isinstance(value, tuple):
+        return all(map(_exact, value))
+    return value is None or isinstance(value, (int, str))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_functions_of_x_are_exact_or_raise_input_error(data):
+    N = data.draw(st.integers(1, 10), label="N")
+    degrees = data.draw(st.lists(st.integers(1, 6), max_size=N + 2), label="degrees")
+    c = CompleteIntersection(N, tuple(degrees))
+    t = data.draw(st.integers(-3, 6), label="t")
+    calls = {
+        **_DIMENSION_RULED,
+        **_ANY_DIMENSION,
+        "degree_of_twist": lambda c: degree_of_twist(c, t),
+        "h0_of_twist": lambda c: h0_of_twist(c, abs(t)),
+    }
+    for name, call in calls.items():
+        try:
+            value = call(c)
+        except InputError as exc:
+            if c.dim < 1:
+                assert name in _DIMENSION_RULED and str(exc) == "not positive-dimensional"
+            else:
+                assert name == "anticanonical_degree" and c.degree_sum > N
+            continue
+        assert c.dim >= 1 or name in _ANY_DIMENSION, name
+        assert _exact(value), (name, value)
