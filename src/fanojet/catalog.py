@@ -2,10 +2,11 @@
 higher-dimensional Mukai pairs carrying a k-very ample polarization, k >= 2.
 
 Ten threefold entries (L = -K_X) plus the two Mukai pairs in dimension 4 and
-5 (L with K = -(n-2)L).  Every numerical invariant was derived independently
-of the classification and is re-verified by `verify_all`: degree/section
-bounds, complete-intersection recomputations, box-product orders, and the
-flag structure of the one entry that is 2-very ample but not 2-jet ample.
+5 (L with K = -(n-2)L), so an entry's `source` follows from its dimension n.
+Every numerical invariant was derived independently of the classification
+and is re-verified by `verify_all`: degree/section bounds, recomputations
+for complete intersections, box-product orders, and the flag structure of
+the one entry that is 2-very ample but not 2-jet ample.
 
 The adjunction outcome table records which special structures can absorb a
 pair (n, k) before the second reduction exists; constraints are pure integer
@@ -31,6 +32,7 @@ class CatalogEntry:
     `ci`/`twist` are set when X is a complete intersection (or all of P^N)
     and L = O_X(twist), enabling machine recomputation of degree and h0;
     `box_factors` holds the factor orders when L is an external product.
+    `source` is not stored: it follows from n.
     """
 
     id: str
@@ -44,15 +46,17 @@ class CatalogEntry:
     degree: int
     h0: int
     derivation: str
-    source: str
     flag: str = ""
     ci: CompleteIntersection | None = None
     twist: int | None = None
     box_factors: tuple[int, ...] | None = None
 
+    @property
+    def source(self) -> str:
+        if self.n == 3:
+            return "Fano threefolds with k-very ample anticanonical bundle, k >= 2"
+        return "Mukai pairs of dimension >= 4 with a 2-very ample polarization"
 
-_FANO3 = "Fano threefolds with k-very ample anticanonical bundle, k >= 2"
-_MUKAI = "Mukai pairs of dimension >= 4 with a 2-very ample polarization"
 
 _ENTRIES: tuple[CatalogEntry, ...] = (
     CatalogEntry(
@@ -71,7 +75,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "a^2 b^2 = 1 gives 24 + 24 = 48; h0(O(2,2)) = 6*6 = 36 by Kunneth, "
         "minus the 9-dimensional space of multiples of the defining (1,1) "
         "form, so 27.  Cross-check: h0(-K) = (-K)^3/2 + 3.",
-        source=_FANO3,
         box_factors=(2, 2),
     ),
     CatalogEntry(
@@ -87,7 +90,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=30,
         derivation="(2a+3b)^3 on P1 x P2 = 3 * 2a * (3b)^2 = 54 with a^2 = 0, "
         "b^3 = 0, a b^2 = 1; h0 = 3 * 10 = 30 by Kunneth.",
-        source=_FANO3,
         box_factors=(2, 3),
     ),
     CatalogEntry(
@@ -104,7 +106,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         derivation="L^3 = 8(2H-E)^3 = 8(8H^3 - E^3) = 8*7 = 56 using H^3 = 1, "
         "E^3 = 1 and vanishing mixed terms; h0(4H - 2E) = quartics on P3 with "
         "a double point = 35 - 4 = 31.",
-        source=_FANO3,
     ),
     CatalogEntry(
         id="fano3-4",
@@ -118,7 +119,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         degree=48,
         h0=27,
         derivation="(2a+2b+2c)^3 = 8 * 3! * abc = 48; h0 = 3^3 = 27 by Kunneth.",
-        source=_FANO3,
         box_factors=(2, 2, 2),
     ),
     CatalogEntry(
@@ -134,7 +134,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=35,
         derivation="4^3 = 64; h0(O(4)) = C(7,3) = 35.  Machine-recomputed from "
         "the empty complete intersection in P3.",
-        source=_FANO3,
         ci=CompleteIntersection(3, ()),
         twist=4,
     ),
@@ -151,7 +150,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=30,
         derivation="3^3 * 2 = 54; h0 = C(7,4) - C(5,4) = 30 (Koszul).  "
         "Machine-recomputed from the complete intersection (2) in P4.",
-        source=_FANO3,
         ci=CompleteIntersection(4, (2,)),
         twist=3,
     ),
@@ -169,7 +167,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         derivation="2^3 * 3 = 24; h0 = C(6,4) = 15 (the cubic imposes nothing "
         "in degree 2).  Machine-recomputed from the complete intersection (3) "
         "in P4.",
-        source=_FANO3,
         ci=CompleteIntersection(4, (3,)),
         twist=2,
     ),
@@ -186,7 +183,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=19,
         derivation="2^3 * 4 = 32; h0 = C(7,5) - 2 = 19 (Koszul).  "
         "Machine-recomputed from the complete intersection (2,2) in P5.",
-        source=_FANO3,
         ci=CompleteIntersection(5, (2, 2)),
         twist=2,
     ),
@@ -205,7 +201,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "pushing L forward splits off the structure sheaf, so "
         "h0 = h0(O_P3(2)) + h0(O_P3) = 10 + 1 = 11.  Order 2 fails for jets: "
         "second-order jets at a ramification point are not hit.",
-        source=_FANO3,
         flag="2-very ample but not 2-jet ample",
     ),
     CatalogEntry(
@@ -225,7 +220,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "Cohen-Macaulay, so three general linear sections leave "
         "h(2) = 50 - 3*10 + 3*1 = 23 = h0(O_X(2)).  Cross-check: "
         "h0(-K) = (-K)^3/2 + 3 = 23.",
-        source=_FANO3,
     ),
     CatalogEntry(
         id="mukai-n4",
@@ -240,7 +234,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=20,
         derivation="2^4 * 2 = 32; h0 = C(7,5) - 1 = 20 (Koszul).  "
         "Machine-recomputed from the complete intersection (2) in P5.",
-        source=_MUKAI,
         ci=CompleteIntersection(5, (2,)),
         twist=2,
     ),
@@ -257,27 +250,28 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=21,
         derivation="2^5 = 32; h0(O(2)) = C(7,5) = 21.  Machine-recomputed from "
         "the empty complete intersection in P5.",
-        source=_MUKAI,
         ci=CompleteIntersection(5, ()),
         twist=2,
     ),
 )
 
-_JET_DEFICIENT_ID = "fano3-9"
+
+def _strict_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise TypeError("%s must be a str, got %r" % (what, value))
 
 
-def entries(
-    n: int | None = None,
-    k: int | None = None,
-    entry_id: str | None = None,
-) -> list[CatalogEntry]:
+def entries(n: int | None = None, k: int | None = None,
+            entry_id: str | None = None) -> list[CatalogEntry]:
     """Catalog entries in stable order, optionally filtered by n, k, or id.
 
-    `k` filters on k_very_ample.
+    `k` filters on k_very_ample.  A filter of the wrong type raises TypeError.
     """
-    for value, what in ((n, "dimension filter"), (k, "k filter")):
+    filters = ((n, "dimension filter", _strict_int), (k, "k filter", _strict_int),
+               (entry_id, "id filter", _strict_str))
+    for value, what, valid in filters:
         if value is not None:
-            _strict_int(value, what)
+            valid(value, what)
     return [
         e for e in _ENTRIES
         if n in (None, e.n) and k in (None, e.k_very_ample) and entry_id in (None, e.id)
@@ -316,18 +310,15 @@ def verify_all(catalog=None) -> CatalogVerification:
                 % (e.id, e.k_jet, e.k_very_ample, e.k_spanned)
             )
         if e.ci is not None:
-            want_deg = degree_of_twist(e.ci, e.twist)
-            if want_deg != e.degree:
-                failures.append(
-                    "%s: degree mismatch vs complete-intersection recomputation "
-                    "(stored %d, recomputed %d)" % (e.id, e.degree, want_deg)
-                )
-            want_h0 = h0_of_twist(e.ci, e.twist)
-            if want_h0 != e.h0:
-                failures.append(
-                    "%s: h0 mismatch vs complete-intersection recomputation "
-                    "(stored %d, recomputed %d)" % (e.id, e.h0, want_h0)
-                )
+            for quantity, stored, recomputed in (
+                ("degree", e.degree, degree_of_twist(e.ci, e.twist)),
+                ("h0", e.h0, h0_of_twist(e.ci, e.twist)),
+            ):
+                if recomputed != stored:
+                    failures.append(
+                        "%s: %s mismatch vs complete-intersection recomputation "
+                        "(stored %d, recomputed %d)" % (e.id, quantity, stored, recomputed)
+                    )
             if e.twist == e.ci.N + 1 - e.ci.degree_sum:
                 # anticanonical polarization: the jet order is recomputable
                 report = analyze(e.ci)
@@ -344,7 +335,7 @@ def verify_all(catalog=None) -> CatalogVerification:
                     % (e.id, folded, e.k_very_ample)
                 )
     deficient = [e for e in rows if e.k_jet < e.k_very_ample]
-    if [e.id for e in deficient] != [_JET_DEFICIENT_ID]:
+    if [e.id for e in deficient] != ["fano3-9"]:
         failures.append(
             "jet-deficiency structure violated: exactly the double-cover entry "
             "must have k_jet < k_very_ample, got %r" % [e.id for e in deficient]
@@ -355,28 +346,16 @@ def verify_all(catalog=None) -> CatalogVerification:
     return CatalogVerification(len(rows), tuple(failures))
 
 
+_EXPORTED = ("id", "dim", "description", "ambient", "polarization", "k_jet", "k_very_ample",
+             "k_spanned", "degree", "h0", "derivation", "source", "flag")
+
+
 def catalog_as_dicts(rows=None) -> list[dict]:
-    """JSON-ready export: one dict per entry, integers as decimal strings."""
-    out = []
-    for e in rows if rows is not None else _ENTRIES:
-        out.append(
-            {
-                "id": e.id,
-                "dim": str(e.n),
-                "description": e.description,
-                "ambient": e.ambient,
-                "polarization": e.polarization,
-                "k_jet": str(e.k_jet),
-                "k_very_ample": str(e.k_very_ample),
-                "k_spanned": str(e.k_spanned),
-                "degree": str(e.degree),
-                "h0": str(e.h0),
-                "derivation": e.derivation,
-                "source": e.source,
-                "flag": e.flag,
-            }
-        )
-    return out
+    """JSON-ready export: each `_EXPORTED` field of each entry through str() ("dim" is n)."""
+    return [
+        {name: str(getattr(e, "n" if name == "dim" else name)) for name in _EXPORTED}
+        for e in (rows if rows is not None else _ENTRIES)
+    ]
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class LineCount:
     kind: str  # "finite" | "family" | "empty"
     count: int | None = None
     family_dim: int | None = None
-    nonempty: bool | None = None
+    nonempty: bool | None = None  # True for every family, None otherwise
 
     @classmethod
     def finite(cls, count: int) -> "LineCount":
@@ -75,9 +75,11 @@ class LineCount:
         return cls("finite", count=count)
 
     @classmethod
-    def family(cls, dim: int, nonempty: bool) -> "LineCount":
+    def family(cls, dim: int) -> "LineCount":
+        """A `dim`-dimensional family, always nonempty: `count_lines` reports one
+        only when delta = dim >= 1, and delta >= 0 is the nonvanishing criterion."""
         _at_least(dim, 1, "family dimension", "family dimension must be >= 1")
-        return cls("family", family_dim=dim, nonempty=nonempty)
+        return cls("family", family_dim=dim, nonempty=True)
 
     @classmethod
     def empty(cls) -> "LineCount":
@@ -87,18 +89,13 @@ class LineCount:
     def is_nonempty(self) -> bool:
         if self.kind == "finite":
             return self.count > 0
-        if self.kind == "family":
-            return bool(self.nonempty)
-        return False
+        return self.kind == "family"
 
     def __str__(self) -> str:
         if self.kind == "finite":
             return "finite count %d" % self.count
         if self.kind == "family":
-            return "%d-dimensional family (%s)" % (
-                self.family_dim,
-                "nonempty" if self.nonempty else "possibly empty",
-            )
+            return "%d-dimensional family (nonempty)" % self.family_dim
         return "empty"
 
 
@@ -142,7 +139,7 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
         if count < 0:
             raise ArithmeticError("negative line count %d for %s" % (count, ci))
         return LineCount.finite(count)
-    return LineCount.family(delta, True)
+    return LineCount.family(delta)
 
 
 def line_family_through_point(ci: CompleteIntersection) -> int | None:

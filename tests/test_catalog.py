@@ -32,6 +32,8 @@ def test_filters():
     assert len(entries(k=2)) == 10
     assert [e.id for e in entries(entry_id="fano3-9")] == ["fano3-9"]
     assert entries(n=7) == []
+    with pytest.raises(TypeError):
+        entries(entry_id=3)  # an id of the wrong type must not silently match nothing
 
 
 def test_every_entry_passes_the_floors():
@@ -131,6 +133,29 @@ def test_verify_all_catches_h0_fault():
     ]
     outcome = verify_all(broken)
     assert any("mukai-n4" in f and "h0 mismatch" in f for f in outcome.failures)
+
+
+@pytest.mark.parametrize(
+    "entry_id, changes, failure",
+    [
+        ("fano3-3", {"degree": 7},
+         "fano3-3: bound check failed: degree 7 below floor 2^n+k-2 = 8"),
+        ("fano3-2", {"box_factors": (2, 1)},
+         "fano3-2: box-product order 1 does not match k_very_ample 2"),
+        ("fano3-7", {"k_jet": 3, "k_very_ample": 3, "k_spanned": 3},
+         "fano3-7: jet order mismatch (stored 3, recomputed 2)"),
+        ("fano3-9", {"flag": ""}, "fano3-9: missing jet-deficiency flag"),
+    ],
+)
+def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
+    broken = [dataclasses.replace(e, **changes) if e.id == entry_id else e for e in entries()]
+    assert verify_all(broken).failures == (failure,)
+
+
+def test_source_follows_from_dimension():
+    assert not any(f.name == "source" for f in dataclasses.fields(entries()[0]))
+    for e in entries():
+        assert e.source.startswith("Fano threefolds" if e.n == 3 else "Mukai pairs"), e.id
 
 
 # --- JSON export ---------------------------------------------------------------------

@@ -249,7 +249,7 @@ _VALIDATORS = {
     "schubert": (lambda: sigma(1, 0), "Grassmannian parameter m must be >= 2"),
     "lines": (lambda: CompleteIntersection(0, ()), "ambient dimension N must be >= 1"),
     "line-count": (lambda: LineCount.finite(-1), "finite line counts are nonnegative"),
-    "line-family": (lambda: LineCount.family(0, True), "family dimension must be >= 1"),
+    "line-family": (lambda: LineCount.family(0), "family dimension must be >= 1"),
     "fano": (lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1), "twist must be >= 0"),
     "degree-twist-dim": (lambda: degree_of_twist(CompleteIntersection(2, (2, 2, 2)), 2),
                          "not positive-dimensional"),  # once 4.0
@@ -281,7 +281,7 @@ def test_library_validators_raise_input_error(call, message):
         lambda: sym_top_chern_paper(True),                              # once 4*c2
         lambda: sym_top_chern_oracle(2.0),
         lambda: LineCount.finite(2.5),
-        lambda: LineCount.family(2.0, True),
+        lambda: LineCount.family(2.0),
         lambda: degree_of_twist(CompleteIntersection(4, (3,)), 2.0),    # once 24.0
         lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1.0),       # type before domain
         lambda: min_degree(2.5, 2),                                     # once 5.656...

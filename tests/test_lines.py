@@ -75,7 +75,7 @@ def test_hypersurface_counts_match_bialternant(N):
 
 def test_cubic_threefold_family():
     got = count_lines(ci(4, 3))
-    assert got == LineCount.family(2, True)
+    assert got == LineCount.family(2)
 
 
 def test_low_degree_families_are_never_finite():
@@ -92,7 +92,7 @@ def test_negative_expected_dimension_is_empty():
 
 def test_count_lines_preconditions():
     # P^N takes the general route: all of G(2, N+1), or the single line P^1
-    assert count_lines(ci(4)) == LineCount.family(6, True)
+    assert count_lines(ci(4)) == LineCount.family(6)
     assert count_lines(ci(1)) == LineCount.finite(1)
     with pytest.raises(ValueError, match="not positive-dimensional"):
         count_lines(ci(3, 2, 2, 2))
@@ -214,8 +214,8 @@ def test_line_count_factories():
     with pytest.raises(ValueError):
         LineCount.finite(-1)
     with pytest.raises(ValueError):
-        LineCount.family(0, True)
+        LineCount.family(0)
     assert LineCount.empty().is_nonempty is False
     assert LineCount.finite(0).is_nonempty is False
     assert LineCount.finite(5).is_nonempty is True
-    assert LineCount.family(2, True).is_nonempty is True
+    assert LineCount.family(2).is_nonempty is True
