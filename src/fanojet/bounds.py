@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chern import InputError, _at_least, _strict_int
+from .chern import _at_least, _strict_int
 
 
 @dataclass(frozen=True)
@@ -27,14 +27,11 @@ class PolarizedInvariants:
     def __post_init__(self):
         for value in (self.n, self.k, self.deg, 0 if self.h0 is None else self.h0):
             _strict_int(value, "every field of PolarizedInvariants")
-        if self.n < 1:
-            raise InputError("dimension must be >= 1")
-        if self.k < 0:
-            raise InputError("order must be >= 0")
-        if self.deg < 1:
-            raise InputError("degree must be >= 1")
-        if self.h0 is not None and self.h0 < 0:
-            raise InputError("h0 must be >= 0")
+        _at_least(self.n, 1, "dimension n", "dimension must be >= 1")
+        _at_least(self.k, 0, "order k", "order must be >= 0")
+        _at_least(self.deg, 1, "degree", "degree must be >= 1")
+        if self.h0 is not None:
+            _at_least(self.h0, 0, "h0", "h0 must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -288,6 +288,31 @@ class CatalogVerification:
         return not self.failures
 
 
+def _entry_checks(e: CatalogEntry):
+    """Yield (holds, message) for each per-entry check of `verify_all`, in order."""
+    verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
+    yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
+    yield (e.k_jet <= e.k_very_ample <= e.k_spanned,
+           "order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
+           % (e.k_jet, e.k_very_ample, e.k_spanned))
+    if e.ci is not None:
+        for quantity, stored, recomputed in (
+            ("degree", e.degree, degree_of_twist(e.ci, e.twist)),
+            ("h0", e.h0, h0_of_twist(e.ci, e.twist)),
+        ):
+            yield (recomputed == stored, "%s mismatch vs complete-intersection recomputation "
+                   "(stored %d, recomputed %d)" % (quantity, stored, recomputed))
+        if e.twist == e.ci.N + 1 - e.ci.degree_sum:
+            # anticanonical polarization: the jet order is recomputable
+            jet_order = analyze(e.ci).jet_order
+            yield (jet_order == e.k_jet,
+                   "jet order mismatch (stored %d, recomputed %s)" % (e.k_jet, jet_order))
+    if e.box_factors is not None:
+        folded = reduce(box_product_order, e.box_factors)
+        yield (folded == e.k_very_ample, "box-product order %d does not match k_very_ample %d"
+               % (folded, e.k_very_ample))
+
+
 def verify_all(catalog=None) -> CatalogVerification:
     """Re-verify every entry against the computational modules.
 
@@ -299,41 +324,8 @@ def verify_all(catalog=None) -> CatalogVerification:
     fault injection is testable.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
-    failures: list[str] = []
-    for e in rows:
-        verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
-        if not verdict.ok:
-            failures.append("%s: bound check failed: %s" % (e.id, "; ".join(verdict.failures)))
-        if not e.k_jet <= e.k_very_ample <= e.k_spanned:
-            failures.append(
-                "%s: order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
-                % (e.id, e.k_jet, e.k_very_ample, e.k_spanned)
-            )
-        if e.ci is not None:
-            for quantity, stored, recomputed in (
-                ("degree", e.degree, degree_of_twist(e.ci, e.twist)),
-                ("h0", e.h0, h0_of_twist(e.ci, e.twist)),
-            ):
-                if recomputed != stored:
-                    failures.append(
-                        "%s: %s mismatch vs complete-intersection recomputation "
-                        "(stored %d, recomputed %d)" % (e.id, quantity, stored, recomputed)
-                    )
-            if e.twist == e.ci.N + 1 - e.ci.degree_sum:
-                # anticanonical polarization: the jet order is recomputable
-                report = analyze(e.ci)
-                if report.jet_order != e.k_jet:
-                    failures.append(
-                        "%s: jet order mismatch (stored %d, recomputed %s)"
-                        % (e.id, e.k_jet, report.jet_order)
-                    )
-        if e.box_factors is not None:
-            folded = reduce(box_product_order, e.box_factors)
-            if folded != e.k_very_ample:
-                failures.append(
-                    "%s: box-product order %d does not match k_very_ample %d"
-                    % (e.id, folded, e.k_very_ample)
-                )
+    failures = ["%s: %s" % (e.id, message)
+                for e in rows for holds, message in _entry_checks(e) if not holds]
     deficient = [e for e in rows if e.k_jet < e.k_very_ample]
     if [e.id for e in deficient] != ["fano3-9"]:
         failures.append(

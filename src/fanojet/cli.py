@@ -79,12 +79,9 @@ def _parse_degrees(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
-        values = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise InputError("degrees must be comma-separated integers, got %r" % text)
-    if any(v < 1 for v in values):
-        raise InputError("degrees must be positive integers")
-    return values
 
 
 def _cmd_lines(args) -> tuple[dict, int]:

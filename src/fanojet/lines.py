@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import prod
 
-from .chern import ChernPolynomial, InputError, _at_least, _strict_int, sym_top_chern
+from .chern import ChernPolynomial, _at_least, _strict_int, sym_top_chern
 from .schubert import CohomologyElement, from_chern_poly, integrate
 
 
@@ -37,10 +37,9 @@ class CompleteIntersection:
         object.__setattr__(self, "degrees", tuple(self.degrees))
         for value in (self.N, *self.degrees):
             _strict_int(value, "N and each degree")
-        if self.N < 1:
-            raise InputError("ambient dimension N must be >= 1")
-        if any(d < 1 for d in self.degrees):
-            raise InputError("hypersurface degrees must be >= 1")
+        _at_least(self.N, 1, "N", "ambient dimension N must be >= 1")
+        for d in self.degrees:
+            _at_least(d, 1, "each degree", "degrees must be positive integers")
 
     @property
     def r(self) -> int:

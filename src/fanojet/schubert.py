@@ -168,7 +168,6 @@ class CohomologyElement(_Combination):
 
 def sigma(m: int, a: int, b: int = 0) -> CohomologyElement:
     """The Schubert class sigma(a, b) as an element of H*(G(2, m))."""
-    _as_class((a, b))
     return CohomologyElement(m, {(a, b): 1})
 
 

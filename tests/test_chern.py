@@ -125,6 +125,7 @@ def test_nonpositive_d_rejected(func, d):
 
 def test_string_form():
     assert str(sym_top_chern(4)) == "96*c1^3*c2 + 128*c1*c2^2"
+    assert repr(sym_top_chern(4)) == "ChernPolynomial(96*c1^3*c2 + 128*c1*c2^2)"
     assert str(ChernPolynomial.zero()) == "0"
     assert str(poly({(0, 0): -2, (1, 0): 1})) == "c1 - 2"
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 import fanojet
 from fanojet import catalog
 from fanojet.bounds import (
+    PolarizedInvariants,
     box_product_order,
     curve_degree_floor,
     min_degree,
@@ -32,8 +33,8 @@ from fanojet.chern import (
 )
 from fanojet.cli import TEXT_VIEWS, build_parser, run
 from fanojet.fano import analyze, anticanonical_degree, degree_of_twist, h0_of_twist
-from fanojet.lines import CompleteIntersection, LineCount
-from fanojet.schubert import sigma
+from fanojet.lines import CompleteIntersection, LineCount, count_lines
+from fanojet.schubert import CohomologyElement, sigma
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,40 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     assert captured.err == "internal check failed: criterion and class disagree\n"
 
 
+def test_closed_form_and_oracle_disagreement_exits_1(capsys, monkeypatch):
+    # A perturbed oracle trips the real check in sym_top_chern, in the library and via run().
+    message = "closed form and splitting-principle expansion disagree at d=5"
+    oracle = sym_top_chern_oracle
+    monkeypatch.setattr("fanojet.chern.sym_top_chern_oracle",
+                        lambda d: oracle(d) + ChernPolynomial.c2())
+    sym_top_chern.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+            sym_top_chern(5)
+        assert run(["chern", "--sym", "5"]) == 1
+    finally:
+        sym_top_chern.cache_clear()
+    assert capsys.readouterr() == ("", "internal check failed: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "degrees,wrong_class,name",
+    [
+        ((5,), CohomologyElement.zero, "CI(5) in P^4"),      # delta = 0, yet no class
+        ((5, 5), CohomologyElement.one, "CI(5,5) in P^4"),   # delta = -6, yet a class
+    ],
+)
+def test_criterion_and_class_disagreement_exits_1(capsys, monkeypatch, degrees, wrong_class,
+                                                  name):
+    # A wrong line class trips the real check in count_lines, in the library and via run().
+    message = "degree criterion and direct class computation disagree for %s" % name
+    monkeypatch.setattr("fanojet.lines.lines_class", lambda ci: wrong_class(ci.N + 1))
+    with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+        count_lines(CompleteIntersection(4, degrees))
+    assert run(["lines", "--ambient", "4", "--degrees", ",".join(map(str, degrees))]) == 1
+    assert capsys.readouterr() == ("", "internal check failed: %s\n" % message)
+
+
 def test_negative_line_count_exits_1(capsys, monkeypatch):
     # LineCount.finite rejects -1 as bad input; inside count_lines it is an internal fault.
     monkeypatch.setattr("fanojet.lines.integrate", lambda cls: -1)
@@ -248,6 +283,7 @@ _VALIDATORS = {
     "chern-power": (lambda: ChernPolynomial.c1() ** -1, "negative powers are not defined"),
     "schubert": (lambda: sigma(1, 0), "Grassmannian parameter m must be >= 2"),
     "lines": (lambda: CompleteIntersection(0, ()), "ambient dimension N must be >= 1"),
+    "lines-degree": (lambda: CompleteIntersection(4, (3, 0)), "degrees must be positive integers"),
     "line-count": (lambda: LineCount.finite(-1), "finite line counts are nonnegative"),
     "line-family": (lambda: LineCount.family(0), "family dimension must be >= 1"),
     "fano": (lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1), "twist must be >= 0"),
@@ -263,6 +299,10 @@ _VALIDATORS = {
     "nefvalue-k": (lambda: nefvalue_bound(3, 1), "nefvalue bound requires k >= 2"),
     "box-product": (lambda: box_product_order(2, -1), "orders must be >= 0"),
     "curve-floor": (lambda: curve_degree_floor(-1), "order must be >= 0"),
+    "invariants-n": (lambda: PolarizedInvariants(0, 2, 8), "dimension must be >= 1"),
+    "invariants-k": (lambda: PolarizedInvariants(3, -1, 8), "order must be >= 0"),
+    "invariants-deg": (lambda: PolarizedInvariants(3, 2, 0), "degree must be >= 1"),
+    "invariants-h0": (lambda: PolarizedInvariants(3, 2, 8, -1), "h0 must be >= 0"),
     "catalog": (lambda: adjunction_cases(2, 2), "adjunction table requires n >= 3"),
     "catalog-k": (lambda: adjunction_cases(3, 1), "adjunction table requires k >= 2"),
 }

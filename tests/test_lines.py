@@ -24,6 +24,7 @@ def ci(N, *degrees):
 def test_cubic_surface_class():
     # 9*c2*(2*c1^2 + c2) lands on 27 times the point class of G(2,4)
     assert lines_class(ci(3, 3)) == CohomologyElement(4, {(2, 2): 27})
+    assert repr(lines_class(ci(3, 3))) == "<27*s[2,2] in G(2,4)>"
 
 
 def test_two_quadrics_class_top_coefficient():
@@ -32,6 +33,7 @@ def test_two_quadrics_class_top_coefficient():
 
 def test_overloaded_intersection_class_vanishes():
     assert lines_class(ci(5, 2, 2, 2)).is_zero()
+    assert lines_class(ci(5, 2, 2, 2)) == CohomologyElement.zero(6)
 
 
 def test_lines_class_of_projective_space_is_unit():
@@ -163,6 +165,17 @@ def test_hyperplane_section_count_drops_to_smaller_ambient(N, degrees):
     outer = count_lines(CompleteIntersection(N, degrees + (1,)))
     assert inner.kind == outer.kind == "finite"
     assert inner.count == outer.count
+
+
+@pytest.mark.parametrize(
+    "N,degrees,plucker_degree",
+    [(4, (3,), 45), (4, (2,), 8), (5, (2, 2), 32), (3, (2,), 4)],
+)
+def test_fano_scheme_plucker_degree(N, degrees, plucker_degree):
+    # degree of the family of lines in the Plucker embedding: the class times sigma(1)^delta
+    X = CompleteIntersection(N, degrees)
+    delta = expected_family_dimension(X)
+    assert integrate(lines_class(X) * sigma(N + 1, 1) ** delta) == plucker_degree
 
 
 def test_expected_family_dimension_values():
