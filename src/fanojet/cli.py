@@ -75,12 +75,19 @@ def _chern_fields(poly) -> dict:
     }
 
 
+def _integer(text: str) -> int:
+    """An optional '-' and ASCII digits, blanks around allowed: no '+', '_' or other digits."""
+    if text.isascii() and text.strip().removeprefix("-").isdigit():
+        return int(text)
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 def _parse_degrees(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError:
+        return tuple(map(_integer, text.split(",")))
+    except argparse.ArgumentTypeError:
         raise InputError("degrees must be comma-separated integers, got %r" % text)
 
 
@@ -261,35 +268,35 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("lines", help="count lines on a generic complete intersection")
-    p.add_argument("--ambient", type=int, required=True, metavar="N")
+    p.add_argument("--ambient", type=_integer, required=True, metavar="N")
     p.add_argument("--degrees", required=True, metavar="d1,d2,...")
     p.set_defaults(func=_cmd_lines)
 
     p = sub.add_parser("fano-ci", help="embedding order of -K on a complete intersection")
-    p.add_argument("--ambient", type=int, required=True, metavar="N")
+    p.add_argument("--ambient", type=_integer, required=True, metavar="N")
     p.add_argument("--degrees", default="", metavar="d1,d2,...")
     p.set_defaults(func=_cmd_fano_ci)
 
     p = sub.add_parser("bounds", help="degree/section floors for a k-very ample bundle")
-    p.add_argument("--dim", type=int, required=True, metavar="n")
-    p.add_argument("--order", type=int, required=True, metavar="k")
-    p.add_argument("--degree", type=int, default=None, metavar="D")
-    p.add_argument("--h0", type=int, default=None, metavar="H")
+    p.add_argument("--dim", type=_integer, required=True, metavar="n")
+    p.add_argument("--order", type=_integer, required=True, metavar="k")
+    p.add_argument("--degree", type=_integer, default=None, metavar="D")
+    p.add_argument("--h0", type=_integer, default=None, metavar="H")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("catalog", help="list or verify the classification catalog")
     p.add_argument("action", nargs="?", choices=["list", "verify"], default="list")
-    p.add_argument("--k", type=int, default=None, help="filter on k_very_ample")
-    p.add_argument("--dim", type=int, default=None, help="filter on dimension")
+    p.add_argument("--k", type=_integer, default=None, help="filter on k_very_ample")
+    p.add_argument("--dim", type=_integer, default=None, help="filter on dimension")
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("adjunction", help="adjunction outcomes admitting (n, k)")
-    p.add_argument("--dim", type=int, required=True, metavar="n")
-    p.add_argument("--order", type=int, required=True, metavar="k")
+    p.add_argument("--dim", type=_integer, required=True, metavar="n")
+    p.add_argument("--order", type=_integer, required=True, metavar="k")
     p.set_defaults(func=_cmd_adjunction)
 
     p = sub.add_parser("chern", help="top Chern class of Sym^d of the rank-2 bundle")
-    p.add_argument("--sym", type=int, required=True, metavar="d")
+    p.add_argument("--sym", type=_integer, required=True, metavar="d")
     p.add_argument("--paper-formula", action="store_true", help="also print the printed "
                    "closed-form variant with boundary coefficient (d+1)^2 and its exact "
                    "ratio to the canonical class")

@@ -3,23 +3,22 @@
 A section of O(d) on P^N induces a section of Sym^d F on G(2, N+1) whose
 zeros are the lines inside the hypersurface.  For a complete intersection of
 degrees d_1, ..., d_r the locus of lines is cut by a section of
-(+) Sym^(d_i) F, so its class is the product of the top Chern classes
-c_(d_i+1)(Sym^(d_i) F).  The expected dimension of the family of lines is
+(+) Sym^(d_i) F, so its class is the product P of the top Chern classes
+c_(d_i+1)(Sym^(d_i) F), and the family of lines has expected dimension
+delta = 2(N - 1) - sum(d_i + 1).
 
-    delta = 2(N - 1) - sum(d_i + 1).
-
-The class is nonzero, and the family of lines on a generic member nonempty,
-exactly when delta >= 0 (Debarre-Manivel); when delta = 0 its integral is the
-(multiplicity-counted) number of lines.  X must be positive-dimensional.
+A generic member has lines exactly when delta >= 0 (Debarre-Manivel); the class
+is effective, so then I = integral of c1^delta * P > 0, the number of lines at
+delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan(k).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 
 from .chern import ChernPolynomial, _at_least, _strict_int, sym_top_chern
-from .schubert import CohomologyElement, from_chern_poly, integrate
+from .schubert import CohomologyElement, from_chern_poly
 
 
 @dataclass(frozen=True)
@@ -75,8 +74,7 @@ class LineCount:
 
     @classmethod
     def family(cls, dim: int) -> "LineCount":
-        """A `dim`-dimensional family, always nonempty: `count_lines` reports one
-        only when delta = dim >= 1, and delta >= 0 is the nonvanishing criterion."""
+        """A `dim`-dimensional family, nonempty: `count_lines` builds one only after I > 0."""
         _at_least(dim, 1, "family dimension", "family dimension must be >= 1")
         return cls("family", family_dim=dim, nonempty=True)
 
@@ -86,9 +84,7 @@ class LineCount:
 
     @property
     def is_nonempty(self) -> bool:
-        if self.kind == "finite":
-            return self.count > 0
-        return self.kind == "family"
+        return self.kind == "family" or (self.kind == "finite" and self.count > 0)
 
     def __str__(self) -> str:
         if self.kind == "finite":
@@ -107,38 +103,35 @@ def expected_family_dimension(ci: CompleteIntersection) -> int:
     return 2 * (ci.N - 1) - sum(d + 1 for d in ci.degrees)
 
 
-def lines_class(ci: CompleteIntersection) -> CohomologyElement:
-    """Class of the locus of lines on X in H*(G(2, N+1)).
+def _factor_product(ci: CompleteIntersection) -> ChernPolynomial:
+    """P = prod of the c_(d_i+1)(Sym^(d_i) F) in Z[c1, c2]; the unit (every line) when r = 0."""
+    return prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
 
-    The factors are multiplied in Z[c1, c2] and substituted into it once.  For
-    X = P^N (r = 0) the product is empty and the class is the unit: every line.
-    """
-    product = prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
-    return from_chern_poly(product, ci.N + 1)
+
+def lines_class(ci: CompleteIntersection) -> CohomologyElement:
+    """Class of the locus of lines on X in H*(G(2, N+1)): the factor product, substituted once."""
+    return from_chern_poly(_factor_product(ci), ci.N + 1)
+
+
+def _line_integral(ci: CompleteIntersection) -> int:
+    """I for delta >= 0: the sum of c * Catalan(N-1-j) over the terms c * c1^i c2^j of P."""
+    ks = ((ci.N - 1 - j, c) for (_, j), c in _factor_product(ci).terms.items())
+    return sum(c * (comb(2 * k, k) // (k + 1)) for k, c in ks)
 
 
 def count_lines(ci: CompleteIntersection) -> LineCount:
     """Count or bound the family of lines on a generic complete intersection.
 
-    X must be positive-dimensional.  The nonvanishing verdict is computed twice,
-    by the criterion delta >= 0 and by testing the class directly; disagreement,
-    like a negative count, raises, because it would mean an arithmetic bug.
-    X = P^N (r = 0) takes the same route, its class being the unit.
+    X must be positive-dimensional.  At delta < 0 X is empty by degree and nothing
+    is computed; else I > 0 is asserted, as anything else is an arithmetic bug.
     """
     delta = expected_family_dimension(_positive_dimensional(ci))
-    cls = lines_class(ci)
-    if (delta >= 0) == cls.is_zero():
-        raise AssertionError(
-            "degree criterion and direct class computation disagree for %s" % ci
-        )
     if delta < 0:
         return LineCount.empty()
-    if delta == 0:
-        count = integrate(cls)
-        if count < 0:
-            raise ArithmeticError("negative line count %d for %s" % (count, ci))
-        return LineCount.finite(count)
-    return LineCount.family(delta)
+    integral = _line_integral(ci)
+    if integral <= 0:
+        raise AssertionError("line integral %d is not positive for %s" % (integral, ci))
+    return LineCount.finite(integral) if delta == 0 else LineCount.family(delta)
 
 
 def line_family_through_point(ci: CompleteIntersection) -> int | None:

@@ -34,7 +34,7 @@ from fanojet.chern import (
 from fanojet.cli import TEXT_VIEWS, build_parser, run
 from fanojet.fano import analyze, anticanonical_degree, degree_of_twist, h0_of_twist
 from fanojet.lines import CompleteIntersection, LineCount, count_lines
-from fanojet.schubert import CohomologyElement, sigma
+from fanojet.schubert import sigma
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +203,36 @@ def test_input_errors_exit_2(capsys, argv):
     assert "error" in err.lower()
 
 
+_DEGREES_ERROR = "error: degrees must be comma-separated integers, got %r\n"
+
+
+@pytest.mark.parametrize(
+    "argv,err_tail",
+    [
+        (["lines", "--ambient", "4", "--degrees", "5_0"],      # once CI(50) in P^4, exit 0
+         _DEGREES_ERROR % "5_0"),
+        (["lines", "--ambient", "1_0", "--degrees", "3,+4"],   # once CI(3,4) in P^10
+         "argument --ambient: invalid int value: '1_0'\n"),
+        (["lines", "--ambient", "10", "--degrees", "3,+4"], _DEGREES_ERROR % "3,+4"),
+        (["chern", "--sym", "\u0663"],                         # Arabic-Indic 3, once --sym 3
+         "argument --sym: invalid int value: '\u0663'\n"),
+        (["bounds", "--dim", "3", "--order", "+2"], "argument --order: invalid int value: '+2'\n"),
+    ],
+    ids=["digit-separator", "separator-and-plus", "plus-degree", "non-ascii-digit", "plus-option"],
+)
+def test_cli_integers_are_strict(capsys, argv, err_tail):
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(err_tail)
+
+
+def test_cli_integers_allow_blanks_and_minus(capsys):
+    assert run(["lines", "--ambient", " 5 ", "--degrees", "3, 3"]) == 0
+    assert "CI(3,3) in P^5" in capsys.readouterr().out
+    assert run(["chern", "--sym", "-1"]) == 2  # parsed, then refused by the library
+    assert capsys.readouterr().err == "error: symmetric power exponent must be >= 1\n"
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(["frobnicate"]) == 2
 
@@ -239,31 +269,17 @@ def test_closed_form_and_oracle_disagreement_exits_1(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "internal check failed: %s\n" % message)
 
 
-@pytest.mark.parametrize(
-    "degrees,wrong_class,name",
-    [
-        ((5,), CohomologyElement.zero, "CI(5) in P^4"),      # delta = 0, yet no class
-        ((5, 5), CohomologyElement.one, "CI(5,5) in P^4"),   # delta = -6, yet a class
-    ],
-)
-def test_criterion_and_class_disagreement_exits_1(capsys, monkeypatch, degrees, wrong_class,
-                                                  name):
-    # A wrong line class trips the real check in count_lines, in the library and via run().
-    message = "degree criterion and direct class computation disagree for %s" % name
-    monkeypatch.setattr("fanojet.lines.lines_class", lambda ci: wrong_class(ci.N + 1))
+@pytest.mark.parametrize("sign", [0, -1], ids=["zero", "negated"])
+@pytest.mark.parametrize("degree,integral", [(5, 2875), (3, 45)], ids=["delta=0", "delta=2"])
+def test_nonpositive_line_integral_exits_1(capsys, monkeypatch, sign, degree, integral):
+    # A zeroed or negated factor product trips the real check in count_lines,
+    # in the library and via run().
+    message = "line integral %d is not positive for CI(%d) in P^4" % (sign * integral, degree)
+    monkeypatch.setattr("fanojet.lines.sym_top_chern", lambda d: sign * sym_top_chern(d))
     with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
-        count_lines(CompleteIntersection(4, degrees))
-    assert run(["lines", "--ambient", "4", "--degrees", ",".join(map(str, degrees))]) == 1
+        count_lines(CompleteIntersection(4, (degree,)))
+    assert run(["lines", "--ambient", "4", "--degrees", str(degree)]) == 1
     assert capsys.readouterr() == ("", "internal check failed: %s\n" % message)
-
-
-def test_negative_line_count_exits_1(capsys, monkeypatch):
-    # LineCount.finite rejects -1 as bad input; inside count_lines it is an internal fault.
-    monkeypatch.setattr("fanojet.lines.integrate", lambda cls: -1)
-    assert run(["lines", "--ambient", "4", "--degrees", "5"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("internal check failed: negative line count -1 ")
 
 
 def test_fano_without_a_line_exits_1(capsys, monkeypatch):

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fanojet.lines import (
     CompleteIntersection,
     LineCount,
+    _line_integral,
     count_lines,
     expected_family_dimension,
     line_family_through_point,
@@ -135,6 +136,18 @@ def test_lines_class_equals_product_of_substituted_factors(N, degrees):
     assert lines_class(CompleteIntersection(N, tuple(degrees))) == chained
 
 
+@settings(max_examples=100, deadline=None)
+@given(N=st.integers(1, 9), degrees=st.lists(st.integers(1, 5), max_size=4))
+def test_catalan_integral_equals_schubert_route(N, degrees):
+    # count_lines' one sum against the Schubert expansion of the class times sigma(1)^delta
+    X = CompleteIntersection(N, tuple(degrees))
+    delta = expected_family_dimension(X)
+    assume(delta >= 0)
+    integral = _line_integral(X)
+    assert integral == integrate(lines_class(X) * sigma(N + 1, 1) ** delta)
+    assert integral > 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_class_invariant_under_degree_permutation(data):
@@ -176,6 +189,7 @@ def test_fano_scheme_plucker_degree(N, degrees, plucker_degree):
     X = CompleteIntersection(N, degrees)
     delta = expected_family_dimension(X)
     assert integrate(lines_class(X) * sigma(N + 1, 1) ** delta) == plucker_degree
+    assert _line_integral(X) == plucker_degree  # the Catalan route of count_lines
 
 
 def test_expected_family_dimension_values():
