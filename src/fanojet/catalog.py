@@ -295,6 +295,8 @@ def _entry_checks(e: CatalogEntry):
     yield (e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
            % (e.k_jet, e.k_very_ample, e.k_spanned))
+    yield (2 * (e.h0 - e.n) == e.degree, "Riemann-Roch for a Mukai pair, h0 = L^n/2 + n, fails "
+           "(degree %d, h0 %d)" % (e.degree, e.h0))
     if e.ci is not None:
         for quantity, stored, recomputed in (
             ("degree", e.degree, degree_of_twist(e.ci, e.twist)),
@@ -317,7 +319,8 @@ def verify_all(catalog=None) -> CatalogVerification:
     """Re-verify every entry against the computational modules.
 
     Checks, per entry: the degree/section floors, the order chain
-    k_jet <= k_very_ample <= k_spanned, recomputed (degree, h0, jet order)
+    k_jet <= k_very_ample <= k_spanned, Riemann-Roch h0 = L^n/2 + n (every entry
+    is a Mukai pair, K = -(n-2)L), recomputed (degree, h0, jet order)
     for complete-intersection entries, and box-product orders.  Globally,
     exactly one entry (the double cover) may have k_jet < k_very_ample, and
     it must carry its flag.  Accepts an alternative entry sequence so that

@@ -114,9 +114,9 @@ class _Combination:
 class ChernPolynomial(_Combination):
     """Element of Z[c1, c2]; keys are (i, j) for c1^i c2^j, values are ints.
 
-    The weighted degree of a monomial is i + 2j.  No relations are imposed;
-    evaluation inside an ambient Grassmannian happens in `schubert`.  Exponents
-    and coefficients must be ints; a float or a bool raises TypeError.
+    Weighted degree of c1^i c2^j: i + 2j.  No relations are imposed; `lines`
+    integrates over G(2, N+1) (`count_lines`), `schubert` expands in its basis.
+    Exponents and coefficients must be ints; a float or a bool raises TypeError.
     """
 
     __slots__ = ()

@@ -1,8 +1,10 @@
 """Command-line front end: one report per subcommand, printed as JSON or text.
 
-Each `_cmd_*` returns its report and exit code, and imports the modules it
-runs, so a subcommand loads only what it needs.  `run` alone prints the report,
-as JSON with every integer a decimal string (so exact values survive any JSON
+Each `_cmd_*` returns its report and exit code and, like each text view,
+imports only the modules it runs: `chern` for `chern` and input errors, `lines`
+for `lines`, `lines` and `fano` for `fano-ci`, `bounds` for `bounds`, all but
+`schubert` for `catalog` and `adjunction`.  `run` alone prints the report, as
+JSON with every integer a decimal string (so exact values survive any JSON
 reader) or through its text view.  Exit codes: 0 on success, 1 when a
 consistency check or any internal step fails or (from `main`) stdout was
 closed by its reader, 2 on input errors (`InputError`).
@@ -14,16 +16,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
-from .chern import InputError, sym_top_chern, sym_top_chern_paper
-from .lines import (
-    CompleteIntersection,
-    LineCount,
-    count_lines,
-    expected_family_dimension,
-    line_family_through_point,
-)
+from .chern import InputError
 
 GENERICITY_NOTE = (
     "line counts are intersection-theoretic and count a generic member with "
@@ -69,10 +63,8 @@ def _without_none(fields: dict) -> dict:
 
 def _chern_fields(poly) -> dict:
     terms = sorted(poly.terms.items(), reverse=True)
-    return {
-        "top_chern": str(poly),
-        "terms": [{"c1_exp": i, "c2_exp": j, "coeff": c} for (i, j), c in terms],
-    }
+    rows = [{"c1_exp": i, "c2_exp": j, "coeff": c} for (i, j), c in terms]
+    return {"top_chern": str(poly), "terms": rows}
 
 
 def _integer(text: str) -> int:
@@ -95,19 +87,23 @@ def _cmd_lines(args) -> tuple[dict, int]:
     degrees = _parse_degrees(args.degrees)
     if not degrees:
         raise InputError("at least one hypersurface degree is required")
-    ci = CompleteIntersection(args.ambient, degrees)
+    from dataclasses import asdict
+    from . import lines
+    ci = lines.CompleteIntersection(args.ambient, degrees)
     inputs = {"ambient": ci.N, "degrees": ci.degrees}
     result = {
-        "expected_family_dim": expected_family_dimension(ci),
-        "line_count": _without_none(asdict(count_lines(ci))),
-        "family_through_point": line_family_through_point(ci),
+        "expected_family_dim": lines.expected_family_dimension(ci),
+        "line_count": _without_none(asdict(lines.count_lines(ci))),
+        "family_through_point": lines.line_family_through_point(ci),
     }
     citations = [CITE_LINE_COUNT, CITE_LINE_CRITERION, CITE_THROUGH_POINT]
     return _report("lines", inputs, result, citations, notes=(GENERICITY_NOTE,))
 
 
 def _cmd_fano_ci(args) -> tuple[dict, int]:
+    from dataclasses import asdict
     from .fano import analyze
+    from .lines import CompleteIntersection
     ci = CompleteIntersection(args.ambient, _parse_degrees(args.degrees))
     result = asdict(analyze(ci))
     result["line_family"] = _without_none(result["line_family"])
@@ -117,6 +113,7 @@ def _cmd_fano_ci(args) -> tuple[dict, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
+    from dataclasses import asdict
     from . import bounds
     # Without --degree there is nothing to check, and these values stand.
     result = {
@@ -164,6 +161,7 @@ def _cmd_adjunction(args) -> tuple[dict, int]:
 
 
 def _cmd_chern(args) -> tuple[dict, int]:
+    from .chern import sym_top_chern, sym_top_chern_paper
     result = {"sym": args.sym, **_chern_fields(sym_top_chern(args.sym))}
     if args.paper_formula:
         from fractions import Fraction
@@ -175,6 +173,7 @@ def _cmd_chern(args) -> tuple[dict, int]:
 
 
 def _lines_text(inputs: dict, result: dict):
+    from .lines import CompleteIntersection, LineCount
     yield "lines on a generic %s" % CompleteIntersection(inputs["ambient"], inputs["degrees"])
     yield "expected family dimension: %(expected_family_dim)d" % result
     yield "result: %s" % LineCount(**result["line_count"])
@@ -183,6 +182,7 @@ def _lines_text(inputs: dict, result: dict):
 
 
 def _fano_ci_text(inputs: dict, result: dict):
+    from .lines import CompleteIntersection, LineCount
     ci = CompleteIntersection(inputs["ambient"], inputs["degrees"])
     yield "X = %s, dim %d" % (ci, result["dim"])
     if result["is_fano"]:

@@ -1,4 +1,4 @@
-"""Lines on generic complete intersections, by Schubert calculus on G(2, N+1).
+"""Lines on generic complete intersections, by intersection theory on G(2, N+1).
 
 A section of O(d) on P^N induces a section of Sym^d F on G(2, N+1) whose
 zeros are the lines inside the hypersurface.  For a complete intersection of
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from math import comb, prod
 
 from .chern import ChernPolynomial, _at_least, _strict_int, sym_top_chern
-from .schubert import CohomologyElement, from_chern_poly
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,9 @@ def _factor_product(ci: CompleteIntersection) -> ChernPolynomial:
     return prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
 
 
-def lines_class(ci: CompleteIntersection) -> CohomologyElement:
-    """Class of the locus of lines on X in H*(G(2, N+1)): the factor product, substituted once."""
+def lines_class(ci: CompleteIntersection):
+    """The `CohomologyElement` of the lines on X in G(2, N+1): the factor product, substituted."""
+    from .schubert import from_chern_poly  # the one use of the Schubert ring in this module
     return from_chern_poly(_factor_product(ci), ci.N + 1)
 
 

@@ -139,17 +139,21 @@ def test_verify_all_catches_h0_fault():
     "entry_id, changes, failure",
     [
         ("fano3-3", {"degree": 7},
-         "fano3-3: bound check failed: degree 7 below floor 2^n+k-2 = 8"),
+         "fano3-3: bound check failed: degree 7 below floor 2^n+k-2 = 8\n"
+         "fano3-3: Riemann-Roch for a Mukai pair, h0 = L^n/2 + n, fails (degree 7, h0 31)"),
         ("fano3-2", {"box_factors": (2, 1)},
          "fano3-2: box-product order 1 does not match k_very_ample 2"),
         ("fano3-7", {"k_jet": 3, "k_very_ample": 3, "k_spanned": 3},
          "fano3-7: jet order mismatch (stored 3, recomputed 2)"),
         ("fano3-9", {"flag": ""}, "fano3-9: missing jet-deficiency flag"),
+        ("fano3-3", {"h0": 30},
+         "fano3-3: Riemann-Roch for a Mukai pair, h0 = L^n/2 + n, fails (degree 56, h0 30)"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
+    """`failure` lists every expected failure, one a line, in `verify_all`'s order."""
     broken = [dataclasses.replace(e, **changes) if e.id == entry_id else e for e in entries()]
-    assert verify_all(broken).failures == (failure,)
+    assert verify_all(broken).failures == tuple(failure.split("\n"))
 
 
 def test_source_follows_from_dimension():

@@ -246,7 +246,7 @@ def test_internal_check_failure_exits_1(capsys, monkeypatch, error):
     def failing_check(ci):
         raise error("criterion and class disagree")
 
-    monkeypatch.setattr("fanojet.cli.count_lines", failing_check)
+    monkeypatch.setattr("fanojet.lines.count_lines", failing_check)
     assert run(["lines", "--ambient", "4", "--degrees", "5"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

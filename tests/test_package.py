@@ -77,12 +77,40 @@ def test_import_fanojet_loads_no_submodule():
     assert _loaded_in_fresh_interpreter("import fanojet") == {"fanojet"}
 
 
-def test_lines_subcommand_loads_only_what_it_runs():
-    loaded = _loaded_in_fresh_interpreter(
-        "from fanojet.cli import run\nrun(['lines', '--ambient', '4', '--degrees', '5'])"
-    )
-    assert "fanojet.lines" in loaded
-    assert not loaded & {"fanojet.catalog", "fanojet.bounds", "fanojet.fano", "fractions"}
+CLI_CORE = {"fanojet", "fanojet.cli", "fanojet.chern"}  # chern defines InputError
+ALL_BUT_SCHUBERT = CLI_CORE | {"fanojet." + m for m in MODULES if m != "schubert"} | {"fractions"}
+
+
+def _cli(*argv: str) -> str:
+    return "from fanojet.cli import run\nrun(%r)" % [*argv]
+
+
+@pytest.mark.parametrize("code, loaded", [
+    pytest.param(_cli("chern", "--sym", "4"), CLI_CORE, id="chern"),
+    pytest.param(_cli("frobnicate"), CLI_CORE, id="argparse-error"),
+    # _cmd_lines parses --degrees before it imports lines.
+    pytest.param(_cli("lines", "--ambient", "4", "--degrees", "x"), CLI_CORE,
+                 id="lines-bad-degrees"),
+    pytest.param(_cli("lines", "--ambient", "4", "--degrees", "5"), CLI_CORE | {"fanojet.lines"},
+                 id="lines"),
+    pytest.param(_cli("fano-ci", "--ambient", "4", "--degrees", "3"),
+                 CLI_CORE | {"fanojet.lines", "fanojet.fano"}, id="fano-ci"),
+    pytest.param(_cli("bounds", "--dim", "3", "--order", "2", "--degree", "8"),
+                 CLI_CORE | {"fanojet.bounds", "fractions"}, id="bounds"),
+    pytest.param(_cli("catalog"), ALL_BUT_SCHUBERT, id="catalog"),
+    pytest.param(_cli("catalog", "verify"), ALL_BUT_SCHUBERT, id="catalog-verify"),
+    pytest.param(_cli("adjunction", "--dim", "3", "--order", "2"), ALL_BUT_SCHUBERT,
+                 id="adjunction"),
+    pytest.param(_cli("chern", "--sym", "4", "--paper-formula"), CLI_CORE | {"fractions"},
+                 id="chern-paper-formula"),
+    # The Schubert ring loads with the first call of lines_class, the one code that needs it.
+    pytest.param("from fanojet.lines import CompleteIntersection, lines_class\n"
+                 "lines_class(CompleteIntersection(4, (5,)))",
+                 {"fanojet", "fanojet.chern", "fanojet.lines", "fanojet.schubert"},
+                 id="lines_class"),
+])
+def test_subcommand_loads_only_what_it_runs(code, loaded):
+    assert _loaded_in_fresh_interpreter(code) == loaded
 
 
 def test_submodule_attribute_in_a_fresh_interpreter():
