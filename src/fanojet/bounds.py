@@ -7,8 +7,6 @@ products are min(k1, k2)-very ample, and every irreducible curve has
 L . C >= k.  Everything here is exact: integers and fractions.Fraction only.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from fractions import Fraction
 

@@ -2,24 +2,21 @@
 higher-dimensional Mukai pairs carrying a k-very ample polarization, k >= 2.
 
 Ten threefold entries (L = -K_X) plus the two Mukai pairs in dimension 4 and
-5 (L with K = -(n-2)L), so an entry's `source` follows from its dimension n.
-Every numerical invariant was derived independently of the classification
-and is re-verified by `verify_all`: degree/section bounds, recomputations
-for complete intersections, box-product orders, and the flag structure of
-the one entry that is 2-very ample but not 2-jet ample.
+5 (L with K = -(n-2)L): `source` follows from n, `flag` from the orders.  Each
+invariant was derived independently and is re-verified by `verify_all`: the
+floors, Riemann-Roch, complete-intersection recomputations, box-product orders,
+and the double cover as the one entry 2-very ample but not 2-jet ample.
 
 The adjunction outcome table records which special structures can absorb a
-pair (n, k) before the second reduction exists; constraints are pure integer
-predicates on (n, k), geometric side conditions travel as text.
+pair (n, k) before the second reduction exists; constraints are integer
+predicates on (n, k) (Mukai: the nefvalue bound), side conditions are text.
 """
-
-from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Callable
 
-from .bounds import PolarizedInvariants, box_product_order, check
+from .bounds import PolarizedInvariants, box_product_order, check, nefvalue_bound
 from .chern import _at_least, _strict_int
 from .fano import analyze, degree_of_twist, h0_of_twist
 from .lines import CompleteIntersection
@@ -32,7 +29,7 @@ class CatalogEntry:
     `ci`/`twist` are set when X is a complete intersection (or all of P^N)
     and L = O_X(twist), enabling machine recomputation of degree and h0;
     `box_factors` holds the factor orders when L is an external product.
-    `source` is not stored: it follows from n.
+    `source` and `flag` are not stored: they follow from n and from the orders.
     """
 
     id: str
@@ -46,7 +43,6 @@ class CatalogEntry:
     degree: int
     h0: int
     derivation: str
-    flag: str = ""
     ci: CompleteIntersection | None = None
     twist: int | None = None
     box_factors: tuple[int, ...] | None = None
@@ -56,6 +52,11 @@ class CatalogEntry:
         if self.n == 3:
             return "Fano threefolds with k-very ample anticanonical bundle, k >= 2"
         return "Mukai pairs of dimension >= 4 with a 2-very ample polarization"
+
+    @property
+    def flag(self) -> str:
+        k = self.k_very_ample
+        return "%d-very ample but not %d-jet ample" % (k, k) if self.k_jet < k else ""
 
 
 _ENTRIES: tuple[CatalogEntry, ...] = (
@@ -201,7 +202,6 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "pushing L forward splits off the structure sheaf, so "
         "h0 = h0(O_P3(2)) + h0(O_P3) = 10 + 1 = 11.  Order 2 fails for jets: "
         "second-order jets at a ramification point are not hit.",
-        flag="2-very ample but not 2-jet ample",
     ),
     CatalogEntry(
         id="fano3-10",
@@ -322,22 +322,19 @@ def verify_all(catalog=None) -> CatalogVerification:
     k_jet <= k_very_ample <= k_spanned, Riemann-Roch h0 = L^n/2 + n (every entry
     is a Mukai pair, K = -(n-2)L), recomputed (degree, h0, jet order)
     for complete-intersection entries, and box-product orders.  Globally,
-    exactly one entry (the double cover) may have k_jet < k_very_ample, and
-    it must carry its flag.  Accepts an alternative entry sequence so that
+    exactly one entry (the double cover) may have k_jet < k_very_ample; its
+    flag follows from that.  Accepts an alternative entry sequence so that
     fault injection is testable.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     failures = ["%s: %s" % (e.id, message)
                 for e in rows for holds, message in _entry_checks(e) if not holds]
-    deficient = [e for e in rows if e.k_jet < e.k_very_ample]
-    if [e.id for e in deficient] != ["fano3-9"]:
+    deficient = [e.id for e in rows if e.k_jet < e.k_very_ample]
+    if deficient != ["fano3-9"]:
         failures.append(
             "jet-deficiency structure violated: exactly the double-cover entry "
-            "must have k_jet < k_very_ample, got %r" % [e.id for e in deficient]
+            "must have k_jet < k_very_ample, got %r" % deficient
         )
-    for e in deficient:
-        if e.flag != "2-very ample but not 2-jet ample":
-            failures.append("%s: missing jet-deficiency flag" % e.id)
     return CatalogVerification(len(rows), tuple(failures))
 
 
@@ -400,7 +397,7 @@ _ADJUNCTION: tuple[AdjunctionOutcome, ...] = (
         "n in {4, 5} with k = 2, or n = 3 with 2 <= k <= 4",
         "Mukai pair: K = -(n-2)L; the nefvalue bound (n+1)/k >= n-2 "
         "forces these (n, k)",
-        lambda n, k: (n in (4, 5) and k <= 2) or (n == 3 and k <= 4),
+        lambda n, k: nefvalue_bound(n, k) >= n - 2,
     ),
     AdjunctionOutcome(
         "vii",

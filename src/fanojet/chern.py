@@ -27,8 +27,6 @@ of the list, carrying each row's binomial coefficients by a rolling product.
 a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from itertools import repeat
 from math import prod

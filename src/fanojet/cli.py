@@ -10,8 +10,6 @@ consistency check or any internal step fails or (from `main`) stdout was
 closed by its reader, 2 on input errors (`InputError`).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

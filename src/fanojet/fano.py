@@ -8,8 +8,6 @@ k-jet ample with k = N + 1 - sum(d_i), and since X contains a line ell with
 curve escaping the pattern is the plane conic.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod

@@ -12,12 +12,10 @@ is effective, so then I = integral of c1^delta * P > 0, the number of lines at
 delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan(k).
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 from math import comb, prod
 
-from .chern import ChernPolynomial, _at_least, _strict_int, sym_top_chern
+from .chern import ChernPolynomial, InputError, _at_least, _strict_int, sym_top_chern
 
 
 @dataclass(frozen=True)
@@ -66,15 +64,25 @@ class LineCount:
     family_dim: int | None = None
     nonempty: bool | None = None  # True for every family, None otherwise
 
+    def __post_init__(self):
+        is_finite, is_family = self.kind == "finite", self.kind == "family"
+        if not (is_finite or is_family or self.kind == "empty"):
+            raise InputError("unknown line count kind %r" % (self.kind,))
+        if ((self.count is not None, self.family_dim is not None) != (is_finite, is_family)
+                or self.nonempty is not (True if is_family else None)):
+            raise InputError("fields disagree with kind %r: %r" % (self.kind, self))
+        if is_finite:
+            _at_least(self.count, 0, "line count", "finite line counts are nonnegative")
+        if is_family:
+            _at_least(self.family_dim, 1, "family dimension", "family dimension must be >= 1")
+
     @classmethod
     def finite(cls, count: int) -> "LineCount":
-        _at_least(count, 0, "line count", "finite line counts are nonnegative")
         return cls("finite", count=count)
 
     @classmethod
     def family(cls, dim: int) -> "LineCount":
         """A `dim`-dimensional family, nonempty: `count_lines` builds one only after I > 0."""
-        _at_least(dim, 1, "family dimension", "family dimension must be >= 1")
         return cls("family", family_dim=dim, nonempty=True)
 
     @classmethod

@@ -26,8 +26,6 @@ are immutable after construction and every operation is a pure function.  Sums,
 negation, powers and printing come from the core shared with `chern`.
 """
 
-from __future__ import annotations
-
 from math import comb
 from typing import Mapping, NamedTuple
 

@@ -145,7 +145,10 @@ def test_verify_all_catches_h0_fault():
          "fano3-2: box-product order 1 does not match k_very_ample 2"),
         ("fano3-7", {"k_jet": 3, "k_very_ample": 3, "k_spanned": 3},
          "fano3-7: jet order mismatch (stored 3, recomputed 2)"),
-        ("fano3-9", {"flag": ""}, "fano3-9: missing jet-deficiency flag"),
+        ("fano3-7", {"k_jet": 1},
+         "fano3-7: jet order mismatch (stored 1, recomputed 2)\n"
+         "jet-deficiency structure violated: exactly the double-cover entry must have "
+         "k_jet < k_very_ample, got ['fano3-7', 'fano3-9']"),
         ("fano3-3", {"h0": 30},
          "fano3-3: Riemann-Roch for a Mukai pair, h0 = L^n/2 + n, fails (degree 56, h0 30)"),
     ],
@@ -160,6 +163,18 @@ def test_source_follows_from_dimension():
     assert not any(f.name == "source" for f in dataclasses.fields(entries()[0]))
     for e in entries():
         assert e.source.startswith("Fano threefolds" if e.n == 3 else "Mukai pairs"), e.id
+
+
+def test_flag_follows_from_orders():
+    assert not any(f.name == "flag" for f in dataclasses.fields(entries()[0]))
+    for e in entries():
+        assert e.flag == ("2-very ample but not 2-jet ample" if e.id == "fano3-9" else ""), e.id
+    (cubic,) = entries(entry_id="fano3-7")
+    assert dataclasses.replace(cubic, k_jet=1).flag == "2-very ample but not 2-jet ample"
+    (p3,) = entries(entry_id="fano3-5")
+    assert dataclasses.replace(p3, k_jet=3).flag == "4-very ample but not 4-jet ample"
+    (double_cover,) = entries(entry_id="fano3-9")
+    assert dataclasses.replace(double_cover, k_jet=2).flag == ""
 
 
 # --- JSON export ---------------------------------------------------------------------
@@ -200,6 +215,16 @@ def test_adjunction_n3_k2_has_the_special_pile():
     assert ids == ["i", "ii", "iv", "v", "vi", "reduction", "2"]
     assert [c.case_id for c in adjunction_cases(3, 3)] == ["ii", "vi", "reduction"]
     assert [c.case_id for c in adjunction_cases(3, 4)] == ["vi", "reduction"]
+
+
+def test_mukai_case_is_the_nefvalue_bound():
+    # a Mukai pair has nefvalue n - 2, and the nefvalue is at most (n+1)/k: solved by hand,
+    # n = 3 with k <= 4, or n in {4, 5} with k = 2
+    for n in range(3, 80):
+        for k in range(2, 80):
+            vi = "vi" in {c.case_id for c in adjunction_cases(n, k)}
+            by_hand = (n == 3 and k <= 4) or (n in (4, 5) and k == 2)
+            assert vi == (k * (n - 2) <= n + 1) == by_hand, (n, k)
 
 
 def test_adjunction_antitone_in_k():

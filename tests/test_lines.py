@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from fanojet.lines import (
     line_family_through_point,
     lines_class,
 )
-from fanojet.chern import sym_top_chern
+from fanojet.chern import InputError, sym_top_chern
 from fanojet.schubert import CohomologyElement, from_chern_poly, integrate, mul, sigma
 
 from oracles import bialternant_line_count, free_line_integral
@@ -235,6 +237,30 @@ def test_complete_intersection_validation():
 def test_complete_intersection_rejects_non_int(N, degrees):
     with pytest.raises(TypeError):
         CompleteIntersection(N, degrees)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, message",
+    [
+        (("bogus",), {}, "unknown line count kind 'bogus'"),
+        ((None,), {}, "unknown line count kind None"),
+        (("empty", 3), {}, "fields disagree with kind 'empty': "),
+        (("finite",), {}, "fields disagree with kind 'finite': "),
+        (("finite",), {"count": 3, "nonempty": True}, "fields disagree with kind 'finite': "),
+        (("family",), {"family_dim": 2}, "fields disagree with kind 'family': "),
+        (("family",), {"count": 3, "family_dim": 2, "nonempty": True},
+         "fields disagree with kind 'family': "),
+        (("finite",), {"count": -1}, "finite line counts are nonnegative"),
+        (("family",), {"family_dim": 0, "nonempty": True}, "family dimension must be >= 1"),
+    ],
+    ids=["unknown-kind", "no-kind", "empty-with-count", "finite-without-count",
+         "finite-nonempty", "family-without-nonempty", "family-with-count",
+         "negative-count", "family-dim-0"],
+)
+def test_line_count_constructor_validates(args, kwargs, message):
+    # the CLI's text views rebuild a LineCount from its JSON fields through this constructor
+    with pytest.raises(InputError, match="^" + re.escape(message)):
+        LineCount(*args, **kwargs)
 
 
 def test_line_count_factories():
