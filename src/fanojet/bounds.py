@@ -7,20 +7,14 @@ products are min(k1, k2)-very ample, and every irreducible curve has
 L . C >= k.  Everything here is exact: integers and fractions.Fraction only.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-
-from .chern import _at_least, _strict_int
+from .chern import _at_least, _Record, _strict_int
 
 
-@dataclass(frozen=True)
-class PolarizedInvariants:
+class PolarizedInvariants(_Record):
     """Dimension n, claimed order k, degree L^n, and optionally h^0(L), as ints."""
 
-    n: int
-    k: int
-    deg: int
-    h0: int | None = None
+    __slots__ = {"n": "int", "k": "int", "deg": "int", "h0": "int | None"}
+    _defaults = {"h0": None}
 
     def __post_init__(self):
         for value in (self.n, self.k, self.deg, 0 if self.h0 is None else self.h0):
@@ -32,14 +26,11 @@ class PolarizedInvariants:
             _at_least(self.h0, 0, "h0", "h0 must be >= 0")
 
 
-@dataclass(frozen=True)
-class BoundsVerdict:
+class BoundsVerdict(_Record):
     """Outcome of `check`; sections_ok is None when h0 was not supplied."""
 
-    degree_ok: bool
-    sections_ok: bool | None
-    borderline_consistent: bool
-    failures: tuple[str, ...]
+    __slots__ = {"degree_ok": "bool", "sections_ok": "bool | None",
+                 "borderline_consistent": "bool", "failures": "tuple[str, ...]"}
 
     @property
     def ok(self) -> bool:
@@ -82,8 +73,9 @@ def check(inv: PolarizedInvariants) -> BoundsVerdict:
     return BoundsVerdict(degree_ok, sections_ok, borderline, tuple(failures))
 
 
-def nefvalue_bound(n: int, k: int) -> Fraction:
+def nefvalue_bound(n: int, k: int) -> "Fraction":
     """Upper bound (n+1)/k for the nefvalue of a k-very ample pair, n >= 3."""
+    from fractions import Fraction  # here, its one use, so only its callers load `fractions`
     _at_least(n, 3, "dimension n", "nefvalue bound requires n >= 3")
     _at_least(k, 2, "order k", "nefvalue bound requires k >= 2")
     return Fraction(n + 1, k)

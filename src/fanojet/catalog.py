@@ -12,18 +12,15 @@ pair (n, k) before the second reduction exists; constraints are integer
 predicates on (n, k) (Mukai: the nefvalue bound), side conditions are text.
 """
 
-from dataclasses import dataclass, field
 from functools import reduce
-from typing import Callable
 
 from .bounds import PolarizedInvariants, box_product_order, check, nefvalue_bound
-from .chern import _at_least, _strict_int
-from .fano import analyze, degree_of_twist, h0_of_twist
-from .lines import CompleteIntersection
+from .chern import _at_least, _Record, _strict_int
+from .fano import _line_order, degree_of_twist, h0_of_twist
+from .lines import CompleteIntersection, count_lines
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(_Record):
     """One classified pair (X, L) with independently derived invariants.
 
     `ci`/`twist` are set when X is a complete intersection (or all of P^N)
@@ -32,20 +29,13 @@ class CatalogEntry:
     `source` and `flag` are not stored: they follow from n and from the orders.
     """
 
-    id: str
-    n: int
-    description: str
-    ambient: str
-    polarization: str
-    k_jet: int
-    k_very_ample: int
-    k_spanned: int
-    degree: int
-    h0: int
-    derivation: str
-    ci: CompleteIntersection | None = None
-    twist: int | None = None
-    box_factors: tuple[int, ...] | None = None
+    __slots__ = {
+        "id": "str", "n": "int", "description": "str", "ambient": "str", "polarization": "str",
+        "k_jet": "int", "k_very_ample": "int", "k_spanned": "int", "degree": "int", "h0": "int",
+        "derivation": "str", "ci": "CompleteIntersection | None", "twist": "int | None",
+        "box_factors": "tuple[int, ...] | None",
+    }
+    _defaults = {"ci": None, "twist": None, "box_factors": None}
 
     @property
     def source(self) -> str:
@@ -278,10 +268,8 @@ def entries(n: int | None = None, k: int | None = None,
     ]
 
 
-@dataclass(frozen=True)
-class CatalogVerification:
-    checked: int
-    failures: tuple[str, ...]
+class CatalogVerification(_Record):
+    __slots__ = {"checked": "int", "failures": "tuple[str, ...]"}
 
     @property
     def ok(self) -> bool:
@@ -304,11 +292,12 @@ def _entry_checks(e: CatalogEntry):
         ):
             yield (recomputed == stored, "%s mismatch vs complete-intersection recomputation "
                    "(stored %d, recomputed %d)" % (quantity, stored, recomputed))
-        if e.twist == e.ci.N + 1 - e.ci.degree_sum:
-            # anticanonical polarization: the jet order is recomputable
-            jet_order = analyze(e.ci).jet_order
-            yield (jet_order == e.k_jet,
-                   "jet order mismatch (stored %d, recomputed %s)" % (e.k_jet, jet_order))
+        # The rule fixes all three orders; the first stored one that differs is reported.
+        order = _line_order(count_lines(e.ci), e.twist)
+        off = [(what, k) for what, k in (("jet", e.k_jet), ("very-ample", e.k_very_ample),
+                                         ("spanned", e.k_spanned)) if k != order]
+        what, k = off[0] if off else ("", order)
+        yield not off, "%s order mismatch (stored %d, recomputed %s)" % (what, k, order)
     if e.box_factors is not None:
         folded = reduce(box_product_order, e.box_factors)
         yield (folded == e.k_very_ample, "box-product order %d does not match k_very_ample %d"
@@ -320,8 +309,9 @@ def verify_all(catalog=None) -> CatalogVerification:
 
     Checks, per entry: the degree/section floors, the order chain
     k_jet <= k_very_ample <= k_spanned, Riemann-Roch h0 = L^n/2 + n (every entry
-    is a Mukai pair, K = -(n-2)L), recomputed (degree, h0, jet order)
-    for complete-intersection entries, and box-product orders.  Globally,
+    is a Mukai pair, K = -(n-2)L), for complete-intersection entries the
+    recomputed degree and h0 and the three orders against the rule for O_X(t) on
+    an X with a line, and box-product orders.  Globally,
     exactly one entry (the double cover) may have k_jet < k_very_ample; its
     flag follows from that.  Accepts an alternative entry sequence so that
     fault injection is testable.
@@ -350,14 +340,12 @@ def catalog_as_dicts(rows=None) -> list[dict]:
     ]
 
 
-@dataclass(frozen=True)
-class AdjunctionOutcome:
+class AdjunctionOutcome(_Record):
     """One possible structure for a pair (n, k) before the second reduction."""
 
-    case_id: str
-    constraints: str
-    description: str
-    admits: Callable[[int, int], bool] = field(repr=False, compare=False)
+    __slots__ = {"case_id": "str", "constraints": "str", "description": "str",
+                 "admits": "Callable[[int, int], bool]"}
+    _hidden = ("admits",)
 
 
 _ADJUNCTION: tuple[AdjunctionOutcome, ...] = (

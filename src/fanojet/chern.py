@@ -52,6 +52,66 @@ def _at_least(value, floor: int, what: str, message: str) -> int:
     return value
 
 
+class _Record:
+    """Base of the public records: frozen, slotted, built by position or keyword.
+
+    A subclass maps its fields, in order, to their types in `__slots__`, gives the
+    defaults of trailing fields in `_defaults` and names in `_hidden` any field
+    left out of ==, hash and repr.  `__init__` sets the fields, then runs
+    `__post_init__`; a record equals only a record of its own class.  As on a
+    named tuple, `_fields`, `_replace` and `_asdict` give the field names, a
+    changed copy and a dict.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+    _hidden: tuple = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__slots__)
+        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
+        # `__init__` is written out per class, so Python itself binds and checks the arguments.
+        params = ("%s=_defaults[%r]" % (f, f) if f in cls._defaults else f for f in cls._fields)
+        sets = "".join("_set(self, %r, %s); " % (f, f) for f in cls._fields)
+        scope = {"_defaults": cls._defaults, "_set": object.__setattr__}
+        exec("def __init__(self, %s): %sself.__post_init__()" % (", ".join(params), sets), scope)
+        cls.__init__ = scope["__init__"]
+        cls.__init__.__qualname__ = cls.__qualname__ + ".__init__"
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, *value):  # also __delattr__: a record is frozen
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._shown)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        shown = ("%s=%r" % (name, getattr(self, name)) for name in self._shown)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(shown))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def _replace(self, **changes):
+        """A copy with `changes` applied; it is validated as a new record is."""
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+    def _asdict(self) -> dict:
+        """{field: value} for every field, records nested in it as dicts too."""
+        values = ((name, getattr(self, name)) for name in self._fields)
+        return {name: v._asdict() if isinstance(v, _Record) else v for name, v in values}
+
+
 class _Combination:
     """A Z-combination {key: nonzero int}: the sums, powers and printing of both rings.
 

@@ -3,15 +3,14 @@
 Each `_cmd_*` returns its report and exit code and, like each text view,
 imports only the modules it runs: `chern` for `chern` and input errors, `lines`
 for `lines`, `lines` and `fano` for `fano-ci`, `bounds` for `bounds`, all but
-`schubert` for `catalog` and `adjunction`.  `run` alone prints the report, as
-JSON with every integer a decimal string (so exact values survive any JSON
-reader) or through its text view.  Exit codes: 0 on success, 1 when a
-consistency check or any internal step fails or (from `main`) stdout was
-closed by its reader, 2 on input errors (`InputError`).
+`schubert` for `catalog` and `adjunction`.  `run` alone prints the report,
+through its text view or, loading `json` only then, as JSON with every integer
+a decimal string (so exact values survive any JSON reader).  Exit codes: 0 on
+success, 1 when a consistency check or any internal step fails or (from
+`main`) stdout was closed by its reader, 2 on input errors (`InputError`).
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -85,13 +84,12 @@ def _cmd_lines(args) -> tuple[dict, int]:
     degrees = _parse_degrees(args.degrees)
     if not degrees:
         raise InputError("at least one hypersurface degree is required")
-    from dataclasses import asdict
     from . import lines
     ci = lines.CompleteIntersection(args.ambient, degrees)
     inputs = {"ambient": ci.N, "degrees": ci.degrees}
     result = {
         "expected_family_dim": lines.expected_family_dimension(ci),
-        "line_count": _without_none(asdict(lines.count_lines(ci))),
+        "line_count": _without_none(lines.count_lines(ci)._asdict()),
         "family_through_point": lines.line_family_through_point(ci),
     }
     citations = [CITE_LINE_COUNT, CITE_LINE_CRITERION, CITE_THROUGH_POINT]
@@ -99,11 +97,10 @@ def _cmd_lines(args) -> tuple[dict, int]:
 
 
 def _cmd_fano_ci(args) -> tuple[dict, int]:
-    from dataclasses import asdict
     from .fano import analyze
     from .lines import CompleteIntersection
     ci = CompleteIntersection(args.ambient, _parse_degrees(args.degrees))
-    result = asdict(analyze(ci))
+    result = analyze(ci)._asdict()
     result["line_family"] = _without_none(result["line_family"])
     inputs = {"ambient": ci.N, "degrees": ci.degrees}
     citations = [CITE_JET_ORDER, CITE_NOT_SPANNED, CITE_LINE_CRITERION]
@@ -111,7 +108,6 @@ def _cmd_fano_ci(args) -> tuple[dict, int]:
 
 
 def _cmd_bounds(args) -> tuple[dict, int]:
-    from dataclasses import asdict
     from . import bounds
     # Without --degree there is nothing to check, and these values stand.
     result = {
@@ -126,7 +122,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
     if args.degree is not None:
         inv = bounds.PolarizedInvariants(args.dim, args.order, args.degree, args.h0)
         verdict = bounds.check(inv)
-        result.update(asdict(verdict), ok=verdict.ok)
+        result.update(verdict._asdict(), ok=verdict.ok)
     elif args.h0 is not None:
         raise InputError("--h0 requires --degree")
     inputs = {"dim": args.dim, "order": args.order, "degree": args.degree, "h0": args.h0}
@@ -319,6 +315,7 @@ def run(argv=None) -> int:
         args = build_parser().parse_args(argv)
         report, code = args.func(args)
         if args.json:
+            import json
             print(json.dumps(_encode(report), indent=2))
         else:
             text = [*TEXT_VIEWS[report["command"]](report["inputs"], report["result"])]

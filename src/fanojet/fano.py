@@ -8,11 +8,10 @@ k-jet ample with k = N + 1 - sum(d_i), and since X contains a line ell with
 curve escaping the pattern is the plane conic.
 """
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb, prod
 
-from .chern import InputError, _at_least, _strict_int
+from .chern import InputError, _at_least, _Record, _strict_int
 from .lines import (
     CompleteIntersection,
     LineCount,
@@ -22,8 +21,7 @@ from .lines import (
 )
 
 
-@dataclass(frozen=True)
-class EmbeddingOrderReport:
+class EmbeddingOrderReport(_Record):
     """Everything the analysis pins down for one complete intersection.
 
     `jet_order` is exact when set (k-jet ample but not (k+1)-spanned);
@@ -32,16 +30,13 @@ class EmbeddingOrderReport:
     order comes from the same formula but the line-existence argument is silent.
     """
 
-    is_fano: bool
-    dim: int
-    jet_order: int | None
-    not_spanned_order: int | None
-    contains_line: bool | None
-    line_family: LineCount
-    family_through_point: int | None
-    anticanonical_degree: int
-    curve_exception: bool
-    formula_extrapolated: bool = False
+    __slots__ = {
+        "is_fano": "bool", "dim": "int", "jet_order": "int | None",
+        "not_spanned_order": "int | None", "contains_line": "bool | None",
+        "line_family": "LineCount", "family_through_point": "int | None",
+        "anticanonical_degree": "int", "curve_exception": "bool", "formula_extrapolated": "bool",
+    }
+    _defaults = {"formula_extrapolated": False}
 
 
 def degree_of_twist(ci: CompleteIntersection, t: int) -> int:
@@ -75,6 +70,16 @@ def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
     return total
 
 
+def _line_order(family: LineCount, t: int) -> int | None:
+    """The jet, very-ample and spanned order of O_X(t) when X has a line, else None.
+
+    O_{P^N}(t) is t-jet ample and so is its restriction O_X(t), hence t-very ample
+    and t-spanned; a line ell in X has O_X(t) . ell = t, so O_X(t) is not
+    (t+1)-spanned.  All three orders are then exactly t.  `family` is X's lines.
+    """
+    return t if family.is_nonempty else None
+
+
 def analyze(ci: CompleteIntersection) -> EmbeddingOrderReport:
     """Jet order of -K_X, line-family data, and the anticanonical degree.
 
@@ -85,10 +90,14 @@ def analyze(ci: CompleteIntersection) -> EmbeddingOrderReport:
     index = ci.N + 1 - ci.degree_sum
     fano = index >= 1
     curve_exception = ci.N == 2 and ci.degrees == (2,)  # the plane conic, a Fano curve
-    jet = index if fano and not curve_exception else None
-    contains_line = family.is_nonempty if jet is not None and ci.dim >= 2 else None
-    if contains_line is False:
-        raise AssertionError("no line on the Fano %s, against the order theorem" % ci)
+    contains_line = None
+    if fano and ci.dim >= 2:  # -K = O_X(index), whose order the line rule fixes
+        jet = _line_order(family, index)
+        if jet is None:
+            raise AssertionError("no line on the Fano %s, against the order theorem" % ci)
+        contains_line = True
+    else:  # a curve's order comes from the same formula, extrapolated
+        jet = index if fano and not curve_exception else None
     return EmbeddingOrderReport(
         is_fano=fano,
         dim=ci.dim,

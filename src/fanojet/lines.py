@@ -12,22 +12,20 @@ is effective, so then I = integral of c1^delta * P > 0, the number of lines at
 delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan(k).
 """
 
-from dataclasses import dataclass
 from math import comb, prod
 
-from .chern import ChernPolynomial, InputError, _at_least, _strict_int, sym_top_chern
+from .chern import ChernPolynomial, InputError, _at_least, _Record, _strict_int, sym_top_chern
 
 
-@dataclass(frozen=True)
-class CompleteIntersection:
+class CompleteIntersection(_Record):
     """Ambient P^N cut by hypersurfaces of the given degrees (r may be 0).
 
     N and the degrees must be ints; a float, a string or a bool raises
     TypeError rather than being coerced.
     """
 
-    N: int
-    degrees: tuple[int, ...] = ()
+    __slots__ = {"N": "int", "degrees": "tuple[int, ...]"}
+    _defaults = {"degrees": ()}
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
@@ -55,14 +53,12 @@ class CompleteIntersection:
         return "CI(%s) in P^%d" % (",".join(map(str, self.degrees)), self.N)
 
 
-@dataclass(frozen=True)
-class LineCount:
+class LineCount(_Record):
     """Outcome of a line count: finite, a positive-dimensional family, or empty."""
 
-    kind: str  # "finite" | "family" | "empty"
-    count: int | None = None
-    family_dim: int | None = None
-    nonempty: bool | None = None  # True for every family, None otherwise
+    __slots__ = {"kind": '"finite" | "family" | "empty"', "count": "int | None",
+                 "family_dim": "int | None", "nonempty": "True for every family, else None"}
+    _defaults = {"count": None, "family_dim": None, "nonempty": None}
 
     def __post_init__(self):
         is_finite, is_family = self.kind == "finite", self.kind == "family"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from functools import reduce
 
@@ -99,7 +98,7 @@ def test_verify_all_passes_on_shipped_data():
 def test_verify_all_catches_degree_fault():
     rows = entries()
     broken = [
-        dataclasses.replace(e, degree=23) if e.id == "fano3-7" else e for e in rows
+        e._replace(degree=23) if e.id == "fano3-7" else e for e in rows
     ]
     outcome = verify_all(broken)
     assert not outcome.ok
@@ -109,7 +108,7 @@ def test_verify_all_catches_degree_fault():
 def test_verify_all_catches_jet_flag_fault():
     rows = entries()
     broken = [
-        dataclasses.replace(e, k_jet=2) if e.id == "fano3-9" else e for e in rows
+        e._replace(k_jet=2) if e.id == "fano3-9" else e for e in rows
     ]
     outcome = verify_all(broken)
     assert not outcome.ok
@@ -119,7 +118,7 @@ def test_verify_all_catches_jet_flag_fault():
 def test_verify_all_catches_order_chain_fault():
     rows = entries()
     broken = [
-        dataclasses.replace(e, k_jet=3) if e.id == "fano3-7" else e for e in rows
+        e._replace(k_jet=3) if e.id == "fano3-7" else e for e in rows
     ]
     outcome = verify_all(broken)
     assert not outcome.ok
@@ -129,7 +128,7 @@ def test_verify_all_catches_order_chain_fault():
 def test_verify_all_catches_h0_fault():
     rows = entries()
     broken = [
-        dataclasses.replace(e, h0=99) if e.id == "mukai-n4" else e for e in rows
+        e._replace(h0=99) if e.id == "mukai-n4" else e for e in rows
     ]
     outcome = verify_all(broken)
     assert any("mukai-n4" in f and "h0 mismatch" in f for f in outcome.failures)
@@ -151,30 +150,37 @@ def test_verify_all_catches_h0_fault():
          "k_jet < k_very_ample, got ['fano3-7', 'fano3-9']"),
         ("fano3-3", {"h0": 30},
          "fano3-3: Riemann-Roch for a Mukai pair, h0 = L^n/2 + n, fails (degree 56, h0 30)"),
+        # O(2) on the quadric fourfold and on P5 is not anticanonical; the line rule still
+        # fixes its three orders.
+        ("mukai-n4", {"k_spanned": 3}, "mukai-n4: spanned order mismatch (stored 3, recomputed 2)"),
+        ("mukai-n5", {"k_jet": 1},
+         "mukai-n5: jet order mismatch (stored 1, recomputed 2)\n"
+         "jet-deficiency structure violated: exactly the double-cover entry must have "
+         "k_jet < k_very_ample, got ['fano3-9', 'mukai-n5']"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
     """`failure` lists every expected failure, one a line, in `verify_all`'s order."""
-    broken = [dataclasses.replace(e, **changes) if e.id == entry_id else e for e in entries()]
+    broken = [e._replace(**changes) if e.id == entry_id else e for e in entries()]
     assert verify_all(broken).failures == tuple(failure.split("\n"))
 
 
 def test_source_follows_from_dimension():
-    assert not any(f.name == "source" for f in dataclasses.fields(entries()[0]))
+    assert "source" not in entries()[0]._fields
     for e in entries():
         assert e.source.startswith("Fano threefolds" if e.n == 3 else "Mukai pairs"), e.id
 
 
 def test_flag_follows_from_orders():
-    assert not any(f.name == "flag" for f in dataclasses.fields(entries()[0]))
+    assert "flag" not in entries()[0]._fields
     for e in entries():
         assert e.flag == ("2-very ample but not 2-jet ample" if e.id == "fano3-9" else ""), e.id
     (cubic,) = entries(entry_id="fano3-7")
-    assert dataclasses.replace(cubic, k_jet=1).flag == "2-very ample but not 2-jet ample"
+    assert cubic._replace(k_jet=1).flag == "2-very ample but not 2-jet ample"
     (p3,) = entries(entry_id="fano3-5")
-    assert dataclasses.replace(p3, k_jet=3).flag == "4-very ample but not 4-jet ample"
+    assert p3._replace(k_jet=3).flag == "4-very ample but not 4-jet ample"
     (double_cover,) = entries(entry_id="fano3-9")
-    assert dataclasses.replace(double_cover, k_jet=2).flag == ""
+    assert double_cover._replace(k_jet=2).flag == ""
 
 
 # --- JSON export ---------------------------------------------------------------------

@@ -5,7 +5,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -145,7 +144,7 @@ def test_catalog_verify(capsys):
 
 def test_failed_catalog_verify_exits_1(capsys, monkeypatch):
     verify_all = catalog.verify_all
-    broken = [replace(e, degree=23) if e.id == "fano3-7" else e for e in catalog.entries()]
+    broken = [e._replace(degree=23) if e.id == "fano3-7" else e for e in catalog.entries()]
     monkeypatch.setattr(catalog, "verify_all", lambda: verify_all(broken))
     assert run(["catalog", "verify"]) == 1
     text = capsys.readouterr().out.splitlines()

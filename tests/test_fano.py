@@ -1,10 +1,8 @@
-from dataclasses import fields, is_dataclass
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fanojet.bounds import min_degree, min_sections
-from fanojet.chern import InputError
+from fanojet.chern import InputError, _Record
 from fanojet.fano import (
     analyze,
     anticanonical_degree,
@@ -181,8 +179,8 @@ def test_not_positive_dimensional_is_rejected(call, c):
 
 def _exact(value) -> bool:
     """True if `value` holds only ints, strs and None, through records, tuples and classes."""
-    if is_dataclass(value):
-        return all(_exact(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, _Record):
+        return all(_exact(getattr(value, name)) for name in value._fields)
     if isinstance(value, CohomologyElement):
         return _exact(tuple(value.terms.items()))
     if isinstance(value, tuple):

@@ -59,12 +59,17 @@ def test_unknown_name_raises_attribute_error():
 
 # --- imports in a fresh interpreter -------------------------------------------
 
+# Costly stdlib modules that a cold start should load only where it uses them.
+WATCHED = ("dataclasses", "fractions", "inspect", "json")
+
+
 def _loaded_in_fresh_interpreter(code: str) -> set:
-    """Run `code`, then report which fanojet modules and `fractions` it left loaded."""
-    probe = code + (
-        "\nimport json, sys"
-        "\nprint(json.dumps(sorted(m for m in sys.modules"
-        " if m.startswith('fanojet') or m == 'fractions')))"
+    """Run `code`, then report which fanojet modules and `WATCHED` modules it left loaded."""
+    probe = code + (  # the set is taken before the probe imports json to print it
+        "\nimport sys"
+        "\nloaded = sorted(m for m in sys.modules if m.startswith('fanojet') or m in %r)"
+        "\nimport json"
+        "\nprint(json.dumps(loaded))" % (WATCHED,)
     )
     src = str(Path(fanojet.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -78,7 +83,7 @@ def test_import_fanojet_loads_no_submodule():
 
 
 CLI_CORE = {"fanojet", "fanojet.cli", "fanojet.chern"}  # chern defines InputError
-ALL_BUT_SCHUBERT = CLI_CORE | {"fanojet." + m for m in MODULES if m != "schubert"} | {"fractions"}
+ALL_BUT_SCHUBERT = CLI_CORE | {"fanojet." + m for m in MODULES if m != "schubert"}
 
 
 def _cli(*argv: str) -> str:
@@ -96,11 +101,19 @@ def _cli(*argv: str) -> str:
     pytest.param(_cli("fano-ci", "--ambient", "4", "--degrees", "3"),
                  CLI_CORE | {"fanojet.lines", "fanojet.fano"}, id="fano-ci"),
     pytest.param(_cli("bounds", "--dim", "3", "--order", "2", "--degree", "8"),
-                 CLI_CORE | {"fanojet.bounds", "fractions"}, id="bounds"),
+                 CLI_CORE | {"fanojet.bounds"}, id="bounds"),
+    # Only --json loads json; the three reports built from records need no dataclasses.
+    pytest.param(_cli("lines", "--ambient", "4", "--degrees", "5", "--json"),
+                 CLI_CORE | {"fanojet.lines", "json"}, id="lines-json"),
+    pytest.param(_cli("fano-ci", "--ambient", "4", "--degrees", "3", "--json"),
+                 CLI_CORE | {"fanojet.lines", "fanojet.fano", "json"}, id="fano-ci-json"),
+    pytest.param(_cli("bounds", "--dim", "3", "--order", "2", "--degree", "8", "--json"),
+                 CLI_CORE | {"fanojet.bounds", "json"}, id="bounds-json"),
     pytest.param(_cli("catalog"), ALL_BUT_SCHUBERT, id="catalog"),
     pytest.param(_cli("catalog", "verify"), ALL_BUT_SCHUBERT, id="catalog-verify"),
-    pytest.param(_cli("adjunction", "--dim", "3", "--order", "2"), ALL_BUT_SCHUBERT,
-                 id="adjunction"),
+    # The nefvalue bound, adjunction case vi, is the one library use of Fraction.
+    pytest.param(_cli("adjunction", "--dim", "3", "--order", "2"),
+                 ALL_BUT_SCHUBERT | {"fractions"}, id="adjunction"),
     pytest.param(_cli("chern", "--sym", "4", "--paper-formula"), CLI_CORE | {"fractions"},
                  id="chern-paper-formula"),
     # The Schubert ring loads with the first call of lines_class, the one code that needs it.
