@@ -348,37 +348,33 @@ class AdjunctionOutcome(_Record):
     _hidden = ("admits",)
 
 
+def _model(dim: int, order: int):
+    """Admits (n, k) when n is the model's dimension and k is at most its polarization's order."""
+    return lambda n, k: n == dim and k <= order
+
+
+# Cases v, vii and 2 take a fibre or a divisor as the model, one dimension below X.
 _ADJUNCTION: tuple[AdjunctionOutcome, ...] = (
     AdjunctionOutcome(
         "i",
         "n = 3, k = 2",
         "(P3, O(2)); here the first reduction carries no information",
-        lambda n, k: n == 3 and k <= 2,
+        _model(3, 2),
     ),
-    AdjunctionOutcome(
-        "ii",
-        "n = 3, 2 <= k <= 3",
-        "(P3, O(3))",
-        lambda n, k: n == 3 and k <= 3,
-    ),
-    AdjunctionOutcome(
-        "iii",
-        "n = 4, k = 2",
-        "(P4, O(2))",
-        lambda n, k: n == 4 and k <= 2,
-    ),
+    AdjunctionOutcome("ii", "n = 3, 2 <= k <= 3", "(P3, O(3))", _model(3, 3)),
+    AdjunctionOutcome("iii", "n = 4, k = 2", "(P4, O(2))", _model(4, 2)),
     AdjunctionOutcome(
         "iv",
         "n = 3, k = 2",
         "(Q, O(2)) for a hyperquadric threefold Q in P4",
-        lambda n, k: n == 3 and k <= 2,
+        _model(3, 2),
     ),
     AdjunctionOutcome(
         "v",
         "n = 3, k = 2",
         "fibration over a smooth curve with fibers (P2, O(2)), "
         "2K + 3L pulled back from the base",
-        lambda n, k: n == 3 and k <= 2,
+        _model(2 + 1, 2),
     ),
     AdjunctionOutcome(
         "vi",
@@ -392,7 +388,7 @@ _ADJUNCTION: tuple[AdjunctionOutcome, ...] = (
         "n = 4, k = 2",
         "Del Pezzo fibration over a smooth curve with general fibers "
         "(P3, O(2))",
-        lambda n, k: n == 4 and k <= 2,
+        _model(3 + 1, 2),
     ),
     AdjunctionOutcome(
         "reduction",
@@ -412,7 +408,7 @@ _ADJUNCTION: tuple[AdjunctionOutcome, ...] = (
         "n = 3, k = 2",
         "second reduction may contract divisors D = P2 with L|_D = O(2) and "
         "O_D(D) = O(-1); Z stays smooth",
-        lambda n, k: n == 3 and k <= 2,
+        _model(2 + 1, 2),
     ),
 )
 

@@ -18,17 +18,20 @@ downstream, since the splitting-principle expansion pins the coefficient to
 d^2 (the roots t = 0 and t = d contribute d*y and d*x, whose product is
 d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
 
-Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
-and multiply by a linear form a*u + b*v in one sweep; they share no kernel.
-The oracle's e1/e2 rewrite tests symmetry once, then peels only the first half
-of the list, carrying each row's binomial coefficients by a rolling product.
+Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j];
+they share no kernel.  The oracle multiplies root t by root d - t in (x, y) as
+the quadratic t(d-t) x^2 + (t^2 + (d-t)^2) xy + t(d-t) y^2, after the middle
+root (d/2)(x + y) for even d; every partial product is symmetric, so it keeps
+only the first half of each list.  Its e1/e2 rewrite tests symmetry once, then
+divides that half exactly by e1 (additions only), reading each e2^j coefficient
+off the value at (x, y) = (1, -1).
 
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
 """
 
 from functools import cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import prod
 from types import MappingProxyType
 from typing import Mapping
@@ -277,36 +280,51 @@ def sym_top_chern_paper(d: int) -> ChernPolynomial:
 def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     """Splitting-principle computation of c_(d+1)(Sym^d F).
 
-    Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots as a list
-    of coefficients indexed by the power of y, then rewrites it in e1, e2.
+    Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots, then rewrites
+    it in e1, e2.  Root t times root d - t is a symmetric quadratic built from
+    their coefficients, so only the first half of each partial product is kept
+    and the list is mirrored once.  Pairing only orders the multiplication: the
+    closed form's pair factor t(d-t) c1^2 + (d-2t)^2 c2, its boundary d^2 and its
+    even-d factor (d/2) c1 appear nowhere here.
     """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
-    xy = [1]
-    for t in range(d + 1):
-        xy = [t * p + (d - t) * q for p, q in zip(xy + [0], [0] + xy)]
-    return ChernPolynomial(_elementary_rewrite(xy))
+    even = 1 - d % 2
+    half = [(d // 2) ** even]  # the middle root (d/2)(x + y) for even d, else 1
+    for t in range((d + 1) // 2):
+        a, b = t * (d - t), t * t + (d - t) ** 2
+        z = [0, 0, *half]
+        z.append(z[even - 2])  # the coefficient past the half, by symmetry
+        half = [a * (p + r) + b * q for p, q, r in zip(z, z[1:], z[2:])]
+    return ChernPolynomial(_elementary_rewrite(half + half[::-1][1 - even:]))
 
 
 def _elementary_rewrite(xy: list) -> dict:
     """Rewrite a symmetric binary form in x, y as a polynomial in e1, e2.
 
     `xy[j]` is the coefficient of x^(n-j) y^j, n = len(xy) - 1; a form that is
-    not its own reverse raises ArithmeticError.  For j = 0, ..., n // 2 peel
-    c * e1^(n-2j) * e2^j, c being the coefficient left at x^(n-j) y^j; the peels
-    are symmetric, so only xy[:n//2 + 1] is updated, rolling C(n-2j, k) along k.
+    not its own reverse raises ArithmeticError.  A symmetric f is e1 times a
+    symmetric form if n is odd, and c e2^m plus e1^2 times one if n = 2m, where
+    c = (-1)^m f(1, -1).  So divide once by e1 for odd n, then read c off
+    f(1, -1) = 2*S + middle (S the alternating sum before the middle) and divide
+    f - c e2^m by e1^2, down to m = 0.  This runs on the first half with signs
+    (-1)^j folded in, where dividing by e1 = x + y is a prefix sum (additions
+    only).  Like the expansion, it uses nothing of the closed form.
     """
     n = len(xy) - 1
     if xy != xy[::-1]:
         raise ArithmeticError("nonsymmetric form of degree %d" % n)
-    half, out = xy[: n // 2 + 1], {}
-    for j in range(len(half)):
-        c, m, b = half[j], n - 2 * j, 1
-        if c:
-            for k in range(len(half) - j):
-                half[j + k] -= c * b
-                b = b * (m - k) // (k + 1)
-            out[(m, j)] = c
-    return out
+    # The first half with signs (-1)^j, after a 0 so that S reads 0 at m = 0.
+    half = [0, *(-c if j % 2 else c for j, c in enumerate(xy[: n // 2 + 1]))]
+    if n % 2:
+        half = list(accumulate(half))  # f / e1
+    out = {}
+    for m in range(len(half) - 2, -1, -1):
+        quotient = list(accumulate(half[:-1]))  # (f - c e2^m) / e1, first half
+        value = 2 * quotient[-1] + half[-1]
+        if value:
+            out[(n - 2 * m, m)] = -value if m % 2 else value
+        half = list(accumulate(quotient))
+    return dict(reversed(out.items()))
 
 
 @cache

@@ -3,10 +3,12 @@
 Most are written against different algorithms than the library: the free
 two-row Schur ring with the closed Littlewood-Richardson rule, coefficient
 extraction through the bialternant, and direct monomial enumeration for
-Hilbert functions.  The exception is `sym_top_roots_in_chern`, which repeats
+Hilbert functions.  The exceptions are `sym_top_roots_in_chern`, which repeats
 the library's own route (root expansion, then leading-term elimination) in
-separate code; the evaluation test in `test_chern.py` checks that identity by
-an independent route.  Nothing here imports library code.
+separate code, and `unpaired_sym_top_chern`, the library's splitting-principle
+route before it paired the roots; the evaluation test in `test_chern.py`
+checks that identity by an independent route.  Nothing here imports library
+code.
 """
 
 from itertools import combinations_with_replacement
@@ -97,6 +99,36 @@ def sym_top_roots_in_chern(d: int) -> dict:
             else:
                 p.pop(key, None)
         out[(i - j, j)] = out.get((i - j, j), 0) + c
+    return out
+
+
+def unpaired_sym_top_chern(d: int) -> dict:
+    """c_(d+1)(Sym^d) as {(i, j): coeff}: one linear sweep per root over the
+    whole list, then `binomial_peel_rewrite`."""
+    xy = [1]
+    for t in range(d + 1):
+        xy = [t * p + (d - t) * q for p, q in zip(xy + [0], [0] + xy)]
+    return binomial_peel_rewrite(xy)
+
+
+def binomial_peel_rewrite(xy: list) -> dict:
+    """A symmetric binary form (`xy[j]` at x^(n-j) y^j) in e1, e2.
+
+    For j = 0, ..., n // 2 peel c * e1^(n-2j) * e2^j, c being the coefficient
+    left at x^(n-j) y^j; the peels are symmetric, so only the first half is
+    updated, rolling C(n-2j, k) along k.
+    """
+    n = len(xy) - 1
+    if xy != xy[::-1]:
+        raise ArithmeticError("nonsymmetric form of degree %d" % n)
+    half, out = xy[: n // 2 + 1], {}
+    for j in range(len(half)):
+        c, m, b = half[j], n - 2 * j, 1
+        if c:
+            for k in range(len(half) - j):
+                half[j + k] -= c * b
+                b = b * (m - k) // (k + 1)
+            out[(m, j)] = c
     return out
 
 

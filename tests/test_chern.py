@@ -1,8 +1,10 @@
+import re
 from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fanojet import chern
 from fanojet.chern import (
     ChernPolynomial,
     _elementary_rewrite,
@@ -11,7 +13,7 @@ from fanojet.chern import (
     sym_top_chern_paper,
 )
 
-from oracles import sym_top_roots_in_chern
+from oracles import sym_top_roots_in_chern, unpaired_sym_top_chern
 
 
 def poly(terms):
@@ -52,6 +54,26 @@ def test_canonical_equals_oracle(d):
 @pytest.mark.parametrize("d", [*range(1, 13), 100, 277])
 def test_oracle_agrees_with_independent_rewrite(d):
     assert dict(sym_top_chern_oracle(d).terms) == sym_top_roots_in_chern(d)
+
+
+@pytest.mark.parametrize("d", [*range(1, 301), 555, 801])
+def test_paired_oracle_equals_unpaired_route(d):
+    # Both parities, well past the d <= 277 that the benchmark's lines-hyper reaches.
+    assert dict(sym_top_chern_oracle(d).terms) == unpaired_sym_top_chern(d)
+
+
+@pytest.mark.parametrize("d", [5, 6, 277])
+def test_printed_boundary_in_closed_form_trips_the_check(monkeypatch, d):
+    # The fault enters on the closed-form side: the printed (d+1)^2 in place of d^2.
+    paired = chern._paired_product
+    monkeypatch.setattr(chern, "_paired_product", lambda e, boundary: paired(e, (e + 1) ** 2))
+    message = "closed form and splitting-principle expansion disagree at d=%d" % d
+    sym_top_chern.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+            sym_top_chern(d)
+    finally:
+        sym_top_chern.cache_clear()
 
 
 @pytest.mark.parametrize("d", [*range(1, 41), 100, 277])
