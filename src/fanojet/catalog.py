@@ -4,12 +4,15 @@ higher-dimensional Mukai pairs carrying a k-very ample polarization, k >= 2.
 Ten threefold entries (L = -K_X) plus the two Mukai pairs in dimension 4 and
 5 (L with K = -(n-2)L): `source` follows from n, `flag` from the orders.  Each
 invariant was derived independently and is re-verified by `verify_all`: the
-floors, Riemann-Roch, complete-intersection recomputations, box-product orders,
-and the double cover as the one entry 2-very ample but not 2-jet ample.
+floors and the order chain, then each recomputed quantity (Riemann-Roch,
+complete-intersection degree, h0 and orders, box-product orders) as a row
+(quantity, stored, recomputed), and the double cover as the one entry 2-very
+ample but not 2-jet ample.
 
 The adjunction outcome table records which special structures can absorb a
-pair (n, k) before the second reduction exists; constraints are integer
-predicates on (n, k) (Mukai: the nefvalue bound), side conditions are text.
+pair (n, k) before the second reduction exists.  Each outcome is plain data,
+paired with the integer rule on (n, k) that its `constraints` text states
+(Mukai: the nefvalue bound); side conditions are text.
 """
 
 from functools import reduce
@@ -277,44 +280,46 @@ class CatalogVerification(_Record):
 
 
 def _entry_checks(e: CatalogEntry):
-    """Yield (holds, message) for each per-entry check of `verify_all`, in order."""
-    verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
-    yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
+    """Yield (holds, message) for each per-entry check of `verify_all`, in order.
+
+    The floors (only for k >= 2) and the order chain are predicates; every other
+    check is a row (quantity, stored, recomputed) that holds when the two agree.
+    """
+    if e.k_very_ample < 2:
+        yield False, "k_very_ample %d is below 2, outside the catalog" % e.k_very_ample
+    else:
+        verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
+        yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
     yield (e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
            % (e.k_jet, e.k_very_ample, e.k_spanned))
-    yield (2 * (e.h0 - e.n) == e.degree, "Riemann-Roch for a Mukai pair, h0 = L^n/2 + n, fails "
-           "(degree %d, h0 %d)" % (e.degree, e.h0))
+    rows = [("Riemann-Roch degree", e.degree, 2 * (e.h0 - e.n))]
     if e.ci is not None:
-        for quantity, stored, recomputed in (
-            ("degree", e.degree, degree_of_twist(e.ci, e.twist)),
-            ("h0", e.h0, h0_of_twist(e.ci, e.twist)),
-        ):
-            yield (recomputed == stored, "%s mismatch vs complete-intersection recomputation "
-                   "(stored %d, recomputed %d)" % (quantity, stored, recomputed))
-        # The rule fixes all three orders; the first stored one that differs is reported.
         order = _line_order(count_lines(e.ci), e.twist)
-        off = [(what, k) for what, k in (("jet", e.k_jet), ("very-ample", e.k_very_ample),
-                                         ("spanned", e.k_spanned)) if k != order]
-        what, k = off[0] if off else ("", order)
-        yield not off, "%s order mismatch (stored %d, recomputed %s)" % (what, k, order)
+        rows += [("complete-intersection degree", e.degree, degree_of_twist(e.ci, e.twist)),
+                 ("complete-intersection h0", e.h0, h0_of_twist(e.ci, e.twist)),
+                 ("jet order", e.k_jet, order), ("very-ample order", e.k_very_ample, order),
+                 ("spanned order", e.k_spanned, order)]
     if e.box_factors is not None:
-        folded = reduce(box_product_order, e.box_factors)
-        yield (folded == e.k_very_ample, "box-product order %d does not match k_very_ample %d"
-               % (folded, e.k_very_ample))
+        rows.append(("box-product order", e.k_very_ample,
+                     reduce(box_product_order, e.box_factors)))
+    for quantity, stored, recomputed in rows:
+        yield (stored == recomputed,
+               "%s mismatch (stored %s, recomputed %s)" % (quantity, stored, recomputed))
 
 
 def verify_all(catalog=None) -> CatalogVerification:
     """Re-verify every entry against the computational modules.
 
-    Checks, per entry: the degree/section floors, the order chain
-    k_jet <= k_very_ample <= k_spanned, Riemann-Roch h0 = L^n/2 + n (every entry
-    is a Mukai pair, K = -(n-2)L), for complete-intersection entries the
-    recomputed degree and h0 and the three orders against the rule for O_X(t) on
-    an X with a line, and box-product orders.  Globally,
-    exactly one entry (the double cover) may have k_jet < k_very_ample; its
-    flag follows from that.  Accepts an alternative entry sequence so that
-    fault injection is testable.
+    Checks, per entry: k_very_ample >= 2 and then the degree/section floors, the
+    order chain k_jet <= k_very_ample <= k_spanned, and one row (quantity, stored,
+    recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n (every entry
+    is a Mukai pair, K = -(n-2)L); for complete-intersection entries the degree,
+    h0 and each of the three orders; and box-product orders.  A row that differs
+    fails as "<quantity> mismatch (stored S, recomputed R)".  Globally, exactly
+    one entry (the double cover) may have k_jet < k_very_ample; its flag follows
+    from that.  Accepts an alternative entry sequence so that fault injection is
+    testable; a k_very_ample below 2 there is reported, not raised.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     failures = ["%s: %s" % (e.id, message)
@@ -343,9 +348,7 @@ def catalog_as_dicts(rows=None) -> list[dict]:
 class AdjunctionOutcome(_Record):
     """One possible structure for a pair (n, k) before the second reduction."""
 
-    __slots__ = {"case_id": "str", "constraints": "str", "description": "str",
-                 "admits": "Callable[[int, int], bool]"}
-    _hidden = ("admits",)
+    __slots__ = {"case_id": "str", "constraints": "str", "description": "str"}
 
 
 def _model(dim: int, order: int):
@@ -353,68 +356,42 @@ def _model(dim: int, order: int):
     return lambda n, k: n == dim and k <= order
 
 
-# Cases v, vii and 2 take a fibre or a divisor as the model, one dimension below X.
-_ADJUNCTION: tuple[AdjunctionOutcome, ...] = (
-    AdjunctionOutcome(
-        "i",
-        "n = 3, k = 2",
-        "(P3, O(2)); here the first reduction carries no information",
-        _model(3, 2),
-    ),
-    AdjunctionOutcome("ii", "n = 3, 2 <= k <= 3", "(P3, O(3))", _model(3, 3)),
-    AdjunctionOutcome("iii", "n = 4, k = 2", "(P4, O(2))", _model(4, 2)),
-    AdjunctionOutcome(
-        "iv",
-        "n = 3, k = 2",
-        "(Q, O(2)) for a hyperquadric threefold Q in P4",
-        _model(3, 2),
-    ),
-    AdjunctionOutcome(
-        "v",
-        "n = 3, k = 2",
-        "fibration over a smooth curve with fibers (P2, O(2)), "
-        "2K + 3L pulled back from the base",
-        _model(2 + 1, 2),
-    ),
-    AdjunctionOutcome(
-        "vi",
-        "n in {4, 5} with k = 2, or n = 3 with 2 <= k <= 4",
-        "Mukai pair: K = -(n-2)L; the nefvalue bound (n+1)/k >= n-2 "
-        "forces these (n, k)",
-        lambda n, k: nefvalue_bound(n, k) >= n - 2,
-    ),
-    AdjunctionOutcome(
-        "vii",
-        "n = 4, k = 2",
-        "Del Pezzo fibration over a smooth curve with general fibers "
-        "(P3, O(2))",
-        _model(3 + 1, 2),
-    ),
-    AdjunctionOutcome(
-        "reduction",
-        "any n >= 3, k >= 2",
-        "first reduction is an isomorphism and the second reduction (Z, D) "
-        "exists",
-        lambda n, k: True,
-    ),
-    AdjunctionOutcome(
-        "1",
-        "n >= 4",
-        "second reduction is an isomorphism: X = Z",
-        lambda n, k: n >= 4,
-    ),
-    AdjunctionOutcome(
-        "2",
-        "n = 3, k = 2",
-        "second reduction may contract divisors D = P2 with L|_D = O(2) and "
-        "O_D(D) = O(-1); Z stays smooth",
-        _model(2 + 1, 2),
-    ),
+# Each outcome with the rule that admits it.  Cases v, vii and 2 take a fibre or a
+# divisor as the model, one dimension below X.
+_ADJUNCTION = (
+    (AdjunctionOutcome("i", "n = 3, k = 2",
+                       "(P3, O(2)); here the first reduction carries no information"),
+     _model(3, 2)),
+    (AdjunctionOutcome("ii", "n = 3, 2 <= k <= 3", "(P3, O(3))"), _model(3, 3)),
+    (AdjunctionOutcome("iii", "n = 4, k = 2", "(P4, O(2))"), _model(4, 2)),
+    (AdjunctionOutcome("iv", "n = 3, k = 2", "(Q, O(2)) for a hyperquadric threefold Q in P4"),
+     _model(3, 2)),
+    (AdjunctionOutcome("v", "n = 3, k = 2", "fibration over a smooth curve with fibers "
+                       "(P2, O(2)), 2K + 3L pulled back from the base"),
+     _model(2 + 1, 2)),
+    (AdjunctionOutcome("vi", "n in {4, 5} with k = 2, or n = 3 with 2 <= k <= 4",
+                       "Mukai pair: K = -(n-2)L; the nefvalue bound (n+1)/k >= n-2 "
+                       "forces these (n, k)"),
+     lambda n, k: nefvalue_bound(n, k) >= n - 2),
+    (AdjunctionOutcome("vii", "n = 4, k = 2", "Del Pezzo fibration over a smooth curve with "
+                       "general fibers (P3, O(2))"),
+     _model(3 + 1, 2)),
+    (AdjunctionOutcome("reduction", "any n >= 3, k >= 2", "first reduction is an isomorphism "
+                       "and the second reduction (Z, D) exists"),
+     lambda n, k: True),
+    (AdjunctionOutcome("1", "n >= 4", "second reduction is an isomorphism: X = Z"),
+     lambda n, k: n >= 4),
+    (AdjunctionOutcome("2", "n = 3, k = 2", "second reduction may contract divisors D = P2 "
+                       "with L|_D = O(2) and O_D(D) = O(-1); Z stays smooth"),
+     _model(2 + 1, 2)),
 )
 
 
 def adjunction_cases(n: int, k: int) -> list[AdjunctionOutcome]:
-    """The outcomes whose integer constraints admit (n, k); n >= 3, k >= 2."""
+    """The outcomes whose integer rules admit (n, k); n >= 3, k >= 2.
+
+    The outcomes are built once, so every call returns the same objects.
+    """
     _at_least(n, 3, "dimension n", "adjunction table requires n >= 3")
     _at_least(k, 2, "order k", "adjunction table requires k >= 2")
-    return [case for case in _ADJUNCTION if case.admits(n, k)]
+    return [case for case, admits in _ADJUNCTION if admits(n, k)]

@@ -58,21 +58,19 @@ def _at_least(value, floor: int, what: str, message: str) -> int:
 class _Record:
     """Base of the public records: frozen, slotted, built by position or keyword.
 
-    A subclass maps its fields, in order, to their types in `__slots__`, gives the
-    defaults of trailing fields in `_defaults` and names in `_hidden` any field
-    left out of ==, hash and repr.  `__init__` sets the fields, then runs
-    `__post_init__`; a record equals only a record of its own class.  As on a
-    named tuple, `_fields`, `_replace` and `_asdict` give the field names, a
-    changed copy and a dict.
+    A subclass maps its fields, in order, to their types in `__slots__` and gives
+    the defaults of trailing fields in `_defaults`.  `__init__` sets the fields,
+    then runs `__post_init__`.  Every field takes part in ==, hash, repr and
+    pickling, and a record equals only a record of its own class.  As on a named
+    tuple, `_fields`, `_replace` and `_asdict` give the field names, a changed
+    copy and a dict.
     """
 
     __slots__ = ()
     _defaults: dict = {}
-    _hidden: tuple = ()
 
     def __init_subclass__(cls):
         cls._fields = tuple(cls.__slots__)
-        cls._shown = tuple(name for name in cls._fields if name not in cls._hidden)
         # `__init__` is written out per class, so Python itself binds and checks the arguments.
         params = ("%s=_defaults[%r]" % (f, f) if f in cls._defaults else f for f in cls._fields)
         sets = "".join("_set(self, %r, %s); " % (f, f) for f in cls._fields)
@@ -90,7 +88,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._shown)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is type(self) else NotImplemented
@@ -99,11 +97,11 @@ class _Record:
         return hash(self._key())
 
     def __repr__(self) -> str:
-        shown = ("%s=%r" % (name, getattr(self, name)) for name in self._shown)
-        return "%s(%s)" % (type(self).__qualname__, ", ".join(shown))
+        pairs = ("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(pairs))
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self._fields)
+        return type(self), self._key()
 
     def _replace(self, **changes):
         """A copy with `changes` applied; it is validated as a new record is."""

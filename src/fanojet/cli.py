@@ -146,10 +146,7 @@ def _cmd_catalog(args) -> tuple[dict, int]:
 
 def _cmd_adjunction(args) -> tuple[dict, int]:
     from . import catalog
-    cases = [
-        {"case_id": c.case_id, "constraints": c.constraints, "description": c.description}
-        for c in catalog.adjunction_cases(args.dim, args.order)
-    ]
+    cases = [case._asdict() for case in catalog.adjunction_cases(args.dim, args.order)]
     inputs = {"dim": args.dim, "order": args.order}
     return _report("adjunction", inputs, {"cases": cases}, [CITE_NEFVALUE, CITE_CATALOG])
 

@@ -36,7 +36,6 @@ class EmbeddingOrderReport(_Record):
         "line_family": "LineCount", "family_through_point": "int | None",
         "anticanonical_degree": "int", "curve_exception": "bool", "formula_extrapolated": "bool",
     }
-    _defaults = {"formula_extrapolated": False}
 
 
 def degree_of_twist(ci: CompleteIntersection, t: int) -> int:

@@ -36,7 +36,7 @@ FIELDS = {
                    "k_very_ample", "k_spanned", "degree", "h0", "derivation", "ci", "twist",
                    "box_factors"),
     CatalogVerification: ("checked", "failures"),
-    AdjunctionOutcome: ("case_id", "constraints", "description", "admits"),
+    AdjunctionOutcome: ("case_id", "constraints", "description"),
 }
 SAMPLES = {
     "CompleteIntersection(N=4, degrees=(5,))": CompleteIntersection(4, (5,)),
@@ -140,20 +140,11 @@ def test_hash_agrees_with_eq(record):
     assert len({record, same}) == 1
 
 
-def test_admits_is_outside_eq_hash_and_repr():
-    case = adjunction_cases(6, 2)[0]
-    other = case._replace(admits=lambda n, k: False)
-    assert other == case and hash(other) == hash(case) and repr(other) == repr(case)
-    assert case._asdict()["admits"] is case.admits
-    assert case != case._replace(description="")
-
-
 @RECORDS
 def test_copies_equal_the_record(record):
     assert copy.copy(record) == record
     assert copy.deepcopy(record) == record
-    if not isinstance(record, AdjunctionOutcome):  # its predicate is a lambda
-        assert pickle.loads(pickle.dumps(record)) == record
+    assert pickle.loads(pickle.dumps(record)) == record
 
 
 def test_asdict_nests_records():
