@@ -2,34 +2,37 @@
 
 For L k-very ample with k >= 2 on an n-fold: L^n >= 2^n + k - 2 and
 h^0(L) >= 2n + k - 1, with equality in the section count forcing equality in
-the degree.  The nefvalue tau of such a pair satisfies tau <= (n + 1)/k, box
-products are min(k1, k2)-very ample, and every irreducible curve has
-L . C >= k.  Everything here is exact: integers and fractions.Fraction only.
+the degree; `PolarizedInvariants` holds exactly such pairs (n >= 1, k >= 2),
+so `check` judges every record.  The nefvalue tau of such a pair satisfies
+tau <= (n + 1)/k, box products are min(k1, k2)-very ample, and every
+irreducible curve has L . C >= k.  Everything here is exact: integers and
+fractions.Fraction only.
 """
 
 from .chern import _at_least, _Record, _strict_int
 
 
 class PolarizedInvariants(_Record):
-    """Dimension n, claimed order k, degree L^n, and optionally h^0(L), as ints."""
+    """Dimension n >= 1, claimed order k >= 2, and optionally L^n >= 1 and h^0(L) >= 0, as ints."""
 
-    __slots__ = {"n": "int", "k": "int", "deg": "int", "h0": "int | None"}
-    _defaults = {"h0": None}
+    __slots__ = {"n": "int", "k": "int", "deg": "int | None", "h0": "int | None"}
+    _defaults = {"deg": None, "h0": None}
 
     def __post_init__(self):
-        for value in (self.n, self.k, self.deg, 0 if self.h0 is None else self.h0):
-            _strict_int(value, "every field of PolarizedInvariants")
-        _at_least(self.n, 1, "dimension n", "dimension must be >= 1")
-        _at_least(self.k, 0, "order k", "order must be >= 0")
-        _at_least(self.deg, 1, "degree", "degree must be >= 1")
+        for value in (self.n, self.k, self.deg, self.h0):
+            if value is not None:
+                _strict_int(value, "every field of PolarizedInvariants")
+        min_degree(self.n, self.k)  # the domain of the floors, and so of `check`
+        if self.deg is not None:
+            _at_least(self.deg, 1, "degree", "degree must be >= 1")
         if self.h0 is not None:
             _at_least(self.h0, 0, "h0", "h0 must be >= 0")
 
 
 class BoundsVerdict(_Record):
-    """Outcome of `check`; sections_ok is None when h0 was not supplied."""
+    """Outcome of `check`; degree_ok (sections_ok) is None when deg (h0) was not supplied."""
 
-    __slots__ = {"degree_ok": "bool", "sections_ok": "bool | None",
+    __slots__ = {"degree_ok": "bool | None", "sections_ok": "bool | None",
                  "borderline_consistent": "bool", "failures": "tuple[str, ...]"}
 
     @property
@@ -52,19 +55,17 @@ def min_sections(n: int, k: int) -> int:
 
 
 def check(inv: PolarizedInvariants) -> BoundsVerdict:
-    """Test the degree/section floors and the borderline coupling."""
+    """Test the floors for what the record supplies, and their coupling when it has both."""
     deg_floor = min_degree(inv.n, inv.k)
     sec_floor = min_sections(inv.n, inv.k)
     failures = []
-    degree_ok = inv.deg >= deg_floor
-    if not degree_ok:
+    degree_ok = None if inv.deg is None else inv.deg >= deg_floor
+    if degree_ok is False:
         failures.append("degree %d below floor 2^n+k-2 = %d" % (inv.deg, deg_floor))
-    sections_ok: bool | None = None
-    if inv.h0 is not None:
-        sections_ok = inv.h0 >= sec_floor
-        if not sections_ok:
-            failures.append("h0 %d below floor 2n+k-1 = %d" % (inv.h0, sec_floor))
-    borderline = not (inv.h0 == sec_floor and inv.deg != deg_floor)
+    sections_ok = None if inv.h0 is None else inv.h0 >= sec_floor
+    if sections_ok is False:
+        failures.append("h0 %d below floor 2n+k-1 = %d" % (inv.h0, sec_floor))
+    borderline = not (inv.deg is not None and inv.h0 == sec_floor and inv.deg != deg_floor)
     if not borderline:
         failures.append(
             "h0 at the floor 2n+k-1 = %d forces degree 2^n+k-2 = %d, got %d"

@@ -4,9 +4,9 @@ higher-dimensional Mukai pairs carrying a k-very ample polarization, k >= 2.
 Ten threefold entries (L = -K_X) plus the two Mukai pairs in dimension 4 and
 5 (L with K = -(n-2)L): `source` follows from n, `flag` from the orders.  Each
 invariant was derived independently and is re-verified by `verify_all`: the
-floors and the order chain, then each recomputed quantity (Riemann-Roch,
-complete-intersection degree, h0 and orders, box-product orders) as a row
-(quantity, stored, recomputed), and the double cover as the one entry 2-very
+order chain, each recomputed quantity (Riemann-Roch, complete-intersection
+degree, h0 and orders, box-product orders) as a row (quantity, stored,
+recomputed), then the floors, and the double cover as the one entry 2-very
 ample but not 2-jet ample.
 
 The adjunction outcome table records which special structures can absorb a
@@ -18,7 +18,7 @@ paired with the integer rule on (n, k) that its `constraints` text states
 from functools import reduce
 
 from .bounds import PolarizedInvariants, box_product_order, check, nefvalue_bound
-from .chern import _at_least, _Record, _strict_int
+from .chern import InputError, _at_least, _Record, _strict_int
 from .fano import _line_order, degree_of_twist, h0_of_twist
 from .lines import CompleteIntersection, count_lines
 
@@ -282,14 +282,10 @@ class CatalogVerification(_Record):
 def _entry_checks(e: CatalogEntry):
     """Yield (holds, message) for each per-entry check of `verify_all`, in order.
 
-    The floors (only for k >= 2) and the order chain are predicates; every other
-    check is a row (quantity, stored, recomputed) that holds when the two agree.
+    The order chain and, after the rows, the floors are predicates; every other check
+    is a row (quantity, stored, recomputed) that holds when the two agree.  A stored
+    value outside a library function's domain raises its `InputError` here.
     """
-    if e.k_very_ample < 2:
-        yield False, "k_very_ample %d is below 2, outside the catalog" % e.k_very_ample
-    else:
-        verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
-        yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
     yield (e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
            % (e.k_jet, e.k_very_ample, e.k_spanned))
@@ -306,24 +302,32 @@ def _entry_checks(e: CatalogEntry):
     for quantity, stored, recomputed in rows:
         yield (stored == recomputed,
                "%s mismatch (stored %s, recomputed %s)" % (quantity, stored, recomputed))
+    verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
+    yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
 
 
 def verify_all(catalog=None) -> CatalogVerification:
-    """Re-verify every entry against the computational modules.
+    """Re-verify every entry against the computational modules; report, never raise.
 
-    Checks, per entry: k_very_ample >= 2 and then the degree/section floors, the
-    order chain k_jet <= k_very_ample <= k_spanned, and one row (quantity, stored,
-    recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n (every entry
-    is a Mukai pair, K = -(n-2)L); for complete-intersection entries the degree,
-    h0 and each of the three orders; and box-product orders.  A row that differs
-    fails as "<quantity> mismatch (stored S, recomputed R)".  Globally, exactly
-    one entry (the double cover) may have k_jet < k_very_ample; its flag follows
-    from that.  Accepts an alternative entry sequence so that fault injection is
-    testable; a k_very_ample below 2 there is reported, not raised.
+    Checks, per entry: the order chain k_jet <= k_very_ample <= k_spanned, one row
+    (quantity, stored, recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n
+    (every entry is a Mukai pair, K = -(n-2)L); for complete-intersection entries the
+    degree, h0 and each of the three orders; and box-product orders; then the floors.
+    A row that differs fails as "<quantity> mismatch (stored S, recomputed R)".
+    Globally, exactly one entry (the double cover) may have k_jet < k_very_ample; its
+    flag follows from that.  Accepts an alternative entry sequence so that fault
+    injection is testable; a stored value that a library function rejects (k < 2,
+    twist < 0, ...) ends its entry as "<id>: outside the library's domain: <message>".
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
-    failures = ["%s: %s" % (e.id, message)
-                for e in rows for holds, message in _entry_checks(e) if not holds]
+    failures = []
+    for e in rows:
+        try:
+            for holds, message in _entry_checks(e):
+                if not holds:
+                    failures.append("%s: %s" % (e.id, message))
+        except InputError as exc:
+            failures.append("%s: outside the library's domain: %s" % (e.id, exc))
     deficient = [e.id for e in rows if e.k_jet < e.k_very_ample]
     if deficient != ["fano3-9"]:
         failures.append(

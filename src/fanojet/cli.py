@@ -109,22 +109,13 @@ def _cmd_fano_ci(args) -> tuple[dict, int]:
 
 def _cmd_bounds(args) -> tuple[dict, int]:
     from . import bounds
-    # Without --degree there is nothing to check, and these values stand.
-    result = {
-        "min_degree": bounds.min_degree(args.dim, args.order),
-        "min_sections": bounds.min_sections(args.dim, args.order),
-        "degree_ok": None,
-        "sections_ok": None,
-        "borderline_consistent": True,
-        "ok": True,
-        "failures": (),
-    }
-    if args.degree is not None:
-        inv = bounds.PolarizedInvariants(args.dim, args.order, args.degree, args.h0)
-        verdict = bounds.check(inv)
-        result.update(verdict._asdict(), ok=verdict.ok)
-    elif args.h0 is not None:
+    floors = {"min_degree": bounds.min_degree(args.dim, args.order),
+              "min_sections": bounds.min_sections(args.dim, args.order)}
+    if args.degree is None and args.h0 is not None:
         raise InputError("--h0 requires --degree")
+    verdict = bounds.check(bounds.PolarizedInvariants(args.dim, args.order, args.degree, args.h0))
+    result = {**floors, **verdict._asdict(), "ok": verdict.ok}
+    result["failures"] = result.pop("failures")  # the report lists them last
     inputs = {"dim": args.dim, "order": args.order, "degree": args.degree, "h0": args.h0}
     citations = [CITE_DEGREE_BOUND, CITE_SECTION_BOUND, CITE_BORDERLINE]
     return _report("bounds", inputs, result, citations)

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fanojet.bounds import (
     BoundsVerdict,
@@ -84,8 +85,19 @@ def test_invariants_validation():
         PolarizedInvariants(3, -1, 5)
     with pytest.raises(ValueError):
         PolarizedInvariants(3, 2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # from the constructor now: k = 1 is outside the floors
         check(PolarizedInvariants(3, 1, 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.integers(2, 12),
+       st.none() | st.integers(1, 10 ** 4), st.none() | st.integers(0, 100))
+def test_check_is_total_on_its_records(n, k, deg, h0):
+    verdict = check(PolarizedInvariants(n, k, deg, h0))
+    assert (verdict.degree_ok is None) == (deg is None)
+    assert (verdict.sections_ok is None) == (h0 is None)
+    # the floors-only verdict that the CLI prints without --degree
+    assert check(PolarizedInvariants(n, k)) == BoundsVerdict(None, None, True, ())
 
 
 @pytest.mark.parametrize(

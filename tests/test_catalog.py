@@ -10,6 +10,7 @@ from fanojet.catalog import (
     entries,
     verify_all,
 )
+from fanojet.lines import CompleteIntersection
 from fanojet.schubert import plucker_degree
 
 from oracles import ssyt_two_row_count
@@ -138,8 +139,8 @@ def test_verify_all_catches_h0_fault():
     "entry_id, changes, failure",
     [
         ("fano3-3", {"degree": 7},
-         "fano3-3: bound check failed: degree 7 below floor 2^n+k-2 = 8\n"
-         "fano3-3: Riemann-Roch degree mismatch (stored 7, recomputed 56)"),
+         "fano3-3: Riemann-Roch degree mismatch (stored 7, recomputed 56)\n"
+         "fano3-3: bound check failed: degree 7 below floor 2^n+k-2 = 8"),
         ("fano3-2", {"box_factors": (2, 1)},
          "fano3-2: box-product order mismatch (stored 2, recomputed 1)"),
         ("fano3-7", {"k_jet": 3, "k_very_ample": 3, "k_spanned": 3},
@@ -159,11 +160,11 @@ def test_verify_all_catches_h0_fault():
          "mukai-n5: jet order mismatch (stored 1, recomputed 2)\n"
          "jet-deficiency structure violated: exactly the double-cover entry must have "
          "k_jet < k_very_ample, got ['fano3-9', 'mukai-n5']"),
-        # Below the catalog's range the floors are not evaluated (they need k >= 2).
+        # Below the floors' domain (k >= 2) the rows still run; the floors end the entry.
         ("fano3-7", {"k_very_ample": 1},
-         "fano3-7: k_very_ample 1 is below 2, outside the catalog\n"
          "fano3-7: order chain violated: k_jet=2, k_very_ample=1, k_spanned=2\n"
-         "fano3-7: very-ample order mismatch (stored 1, recomputed 2)"),
+         "fano3-7: very-ample order mismatch (stored 1, recomputed 2)\n"
+         "fano3-7: outside the library's domain: degree bound requires k >= 2"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
@@ -174,7 +175,8 @@ def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failur
 
 # Faults that no check sees yet: the stored spanned order of an entry that is not a
 # complete intersection (a witness curve per entry would close these six), and the
-# double cover's jet order.
+# double cover's jet order.  The same gap hides k_jet = -1 on fano3-9, below this map:
+# only a lower-side check of the double cover's jet order would see either.
 KNOWN_GAP = {("fano3-%d" % i, "k_spanned", 3) for i in (1, 2, 3, 4, 9, 10)} | {
     ("fano3-9", "k_jet", 0)}
 
@@ -196,6 +198,23 @@ def test_every_single_field_fault_is_reported_and_none_raises():
                 if not any(_names(f, e.id) for f in failures):
                     silent.add((e.id, field, value))
     assert silent == KNOWN_GAP
+
+
+def _domain_faults(e):
+    """Stored values outside a library function's domain, as `_replace` changes of `e`."""
+    faults = [{"degree": 0}, {"n": 0}, {"h0": -1}, {"k_very_ample": 0}, {"k_very_ample": 1}]
+    if e.ci is not None:
+        faults += [{"twist": -1}, {"ci": CompleteIntersection(3, (2, 2, 2))}]
+    return faults
+
+
+def test_domain_faults_are_reported_under_their_entry_and_none_raises():
+    faults = [(e, changes) for e in entries() for changes in _domain_faults(e)]
+    assert len(faults) == 72
+    for e, changes in faults:
+        broken = [x._replace(**changes) if x is e else x for x in entries()]
+        failures = verify_all(broken).failures  # raises nothing
+        assert any(f.startswith(e.id + ": ") for f in failures), (e.id, changes)
 
 
 def test_source_follows_from_dimension():

@@ -315,7 +315,8 @@ _VALIDATORS = {
     "box-product": (lambda: box_product_order(2, -1), "orders must be >= 0"),
     "curve-floor": (lambda: curve_degree_floor(-1), "order must be >= 0"),
     "invariants-n": (lambda: PolarizedInvariants(0, 2, 8), "dimension must be >= 1"),
-    "invariants-k": (lambda: PolarizedInvariants(3, -1, 8), "order must be >= 0"),
+    "invariants-k": (lambda: PolarizedInvariants(3, -1, 8), "degree bound requires k >= 2"),
+    "invariants-k1": (lambda: PolarizedInvariants(3, 1, 8), "degree bound requires k >= 2"),
     "invariants-deg": (lambda: PolarizedInvariants(3, 2, 0), "degree must be >= 1"),
     "invariants-h0": (lambda: PolarizedInvariants(3, 2, 8, -1), "h0 must be >= 0"),
     "catalog": (lambda: adjunction_cases(2, 2), "adjunction table requires n >= 3"),
