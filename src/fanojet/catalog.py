@@ -286,7 +286,7 @@ def _entry_checks(e: CatalogEntry):
     is a row (quantity, stored, recomputed) that holds when the two agree.  A stored
     value outside a library function's domain raises its `InputError` here.
     """
-    yield (e.k_jet <= e.k_very_ample <= e.k_spanned,
+    yield (1 <= e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
            % (e.k_jet, e.k_very_ample, e.k_spanned))
     rows = [("Riemann-Roch degree", e.degree, 2 * (e.h0 - e.n))]
@@ -309,7 +309,8 @@ def _entry_checks(e: CatalogEntry):
 def verify_all(catalog=None) -> CatalogVerification:
     """Re-verify every entry against the computational modules; report, never raise.
 
-    Checks, per entry: the order chain k_jet <= k_very_ample <= k_spanned, one row
+    Checks, per entry: the order chain 1 <= k_jet <= k_very_ample <= k_spanned (very
+    ample is 1-jet ample, and k_very_ample >= 2 for every entry), one row
     (quantity, stored, recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n
     (every entry is a Mukai pair, K = -(n-2)L); for complete-intersection entries the
     degree, h0 and each of the three orders; and box-product orders; then the floors.

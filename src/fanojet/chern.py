@@ -116,9 +116,11 @@ class _Record:
 class _Combination:
     """A Z-combination {key: nonzero int}: the sums, powers and printing of both rings.
 
-    A subclass validates in `__init__`, and supplies `_coerce` (an operand as a
-    value of its space, or None), `_like` (a value of its space from a raw map),
-    `*`, `==` and its monomial format.
+    A subclass validates caller data in `__init__`, and supplies `_coerce` (an
+    operand as a value of its space, or None), `_like` (a value of its space from
+    a map the ring built), `*`, `==` and its monomial format.  Checking happens
+    where values enter: every result here goes through `_like`, and the keys and
+    coefficients it combines come from values that were checked when built.
     """
 
     __slots__ = ("_terms",)
@@ -176,6 +178,10 @@ class ChernPolynomial(_Combination):
     Weighted degree of c1^i c2^j: i + 2j.  No relations are imposed; `lines`
     integrates over G(2, N+1) (`count_lines`), `schubert` expands in its basis.
     Exponents and coefficients must be ints; a float or a bool raises TypeError.
+    That is checked once, when a value is built from caller data: by this
+    constructor and by `_coerce` for an operand.  Sums, products, powers and the
+    Sym^d top classes are built by `_like`, which only drops zero coefficients,
+    since ints combined by + and * are ints again.
     """
 
     __slots__ = ()
@@ -210,12 +216,15 @@ class ChernPolynomial(_Combination):
     @staticmethod
     def _coerce(value) -> "ChernPolynomial | None":
         if isinstance(value, int) and not isinstance(value, bool):
-            return ChernPolynomial({(0, 0): value})
+            return ChernPolynomial._like({(0, 0): value})
         return value if isinstance(value, ChernPolynomial) else None
 
     @staticmethod
     def _like(terms: Mapping) -> "ChernPolynomial":
-        return ChernPolynomial(terms)
+        """A value from a map of checked ints the ring built: drops zeros, checks nothing."""
+        value = object.__new__(ChernPolynomial)
+        value._terms = {key: c for key, c in terms.items() if c}
+        return value
 
     def weighted_degrees(self) -> set[int]:
         return {i + 2 * j for (i, j) in self._terms}
@@ -232,7 +241,7 @@ class ChernPolynomial(_Combination):
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)
                 acc[key] = acc.get(key, 0) + c1 * c2
-        return ChernPolynomial(acc)
+        return ChernPolynomial._like(acc)
 
     __rmul__ = __mul__
 
@@ -264,7 +273,7 @@ def _paired_product(d: int, boundary: int) -> ChernPolynomial:
         a, b = t * (d - t), (d - 2 * t) ** 2
         form = [a * p + b * q for p, q in zip(form + [0], [0] + form)]
     top = len(form) - 1
-    return ChernPolynomial({(2 * (top - j) + even, j + 1): c for j, c in enumerate(form)})
+    return ChernPolynomial._like({(2 * (top - j) + even, j + 1): c for j, c in enumerate(form)})
 
 
 def sym_top_chern_paper(d: int) -> ChernPolynomial:
@@ -293,7 +302,7 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
         z = [0, 0, *half]
         z.append(z[even - 2])  # the coefficient past the half, by symmetry
         half = [a * (p + r) + b * q for p, q, r in zip(z, z[1:], z[2:])]
-    return ChernPolynomial(_elementary_rewrite(half + half[::-1][1 - even:]))
+    return ChernPolynomial._like(_elementary_rewrite(half + half[::-1][1 - even:]))
 
 
 def _elementary_rewrite(xy: list) -> dict:

@@ -12,7 +12,8 @@ is effective, so then I = integral of c1^delta * P > 0, the number of lines at
 delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan(k).
 """
 
-from math import comb, prod
+from itertools import accumulate
+from math import prod
 
 from .chern import ChernPolynomial, InputError, _at_least, _Record, _strict_int, sym_top_chern
 
@@ -118,9 +119,20 @@ def lines_class(ci: CompleteIntersection):
 
 
 def _line_integral(ci: CompleteIntersection) -> int:
-    """I for delta >= 0: the sum of c * Catalan(N-1-j) over the terms c * c1^i c2^j of P."""
-    ks = ((ci.N - 1 - j, c) for (_, j), c in _factor_product(ci).terms.items())
-    return sum(c * (comb(2 * k, k) // (k + 1)) for k, c in ks)
+    """I for delta >= 0: the sum of c * Catalan(N-1-j) over the terms c * c1^i c2^j of P.
+
+    Catalan(0..N-1) are rolled by Catalan(k+1) = Catalan(k) * 2(2k+1) / (k+2).  P is
+    a ring value, checked where its factors were built, so its terms are not checked
+    again; a term with j > N-1 has no Catalan number and raises ValueError.
+    """
+    catalan = list(accumulate(range(ci.N - 1), lambda c, k: c * 2 * (2 * k + 1) // (k + 2),
+                              initial=1))
+    total = 0
+    for (_, j), c in _factor_product(ci).terms.items():
+        if j >= ci.N:
+            raise ValueError("term c2^%d has no Catalan number in G(2, %d)" % (j, ci.N + 1))
+        total += c * catalan[ci.N - 1 - j]
+    return total
 
 
 def count_lines(ci: CompleteIntersection) -> LineCount:

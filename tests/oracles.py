@@ -132,14 +132,17 @@ def binomial_peel_rewrite(xy: list) -> dict:
     return out
 
 
-def bialternant_line_count(N: int, degrees) -> int:
-    """[x^N y^(N-1)] of (x - y) * prod_d prod_t (t x + (d-t) y).
+def bialternant_line_count(N: int, degrees, c1_power: int = 0) -> int:
+    """[x^N y^(N-1)] of (x - y) * (x + y)^c1_power * prod_d prod_t (t x + (d-t) y).
 
     This is the integral over G(2, N+1) written through the Jacobi
     bialternant for two-row Schur polynomials; completely bypasses any
-    Schubert-basis bookkeeping.
+    Schubert-basis bookkeeping.  With c1_power = delta it is the Pluecker
+    degree of a delta-dimensional family of lines.
     """
     p = {(0, 0): 1}
+    for _ in range(c1_power):
+        p = _xy_mul(p, {(1, 0): 1, (0, 1): 1})
     for d in degrees:
         for t in range(d + 1):
             p = _xy_mul(p, {(1, 0): t, (0, 1): d - t})

@@ -44,7 +44,7 @@ def test_every_entry_passes_the_floors():
 
 def test_order_chains():
     for e in entries():
-        assert e.k_jet <= e.k_very_ample <= e.k_spanned, e.id
+        assert 1 <= e.k_jet <= e.k_very_ample <= e.k_spanned, e.id
         if e.id != "fano3-9":
             assert e.k_jet == e.k_very_ample == e.k_spanned, e.id
 
@@ -165,6 +165,11 @@ def test_verify_all_catches_h0_fault():
          "fano3-7: order chain violated: k_jet=2, k_very_ample=1, k_spanned=2\n"
          "fano3-7: very-ample order mismatch (stored 1, recomputed 2)\n"
          "fano3-7: outside the library's domain: degree bound requires k >= 2"),
+        # Very ample is 1-jet ample, so the double cover's jet order has a floor of 1.
+        ("fano3-9", {"k_jet": 0},
+         "fano3-9: order chain violated: k_jet=0, k_very_ample=2, k_spanned=2"),
+        ("fano3-9", {"k_jet": -1},
+         "fano3-9: order chain violated: k_jet=-1, k_very_ample=2, k_spanned=2"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
@@ -174,11 +179,8 @@ def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failur
 
 
 # Faults that no check sees yet: the stored spanned order of an entry that is not a
-# complete intersection (a witness curve per entry would close these six), and the
-# double cover's jet order.  The same gap hides k_jet = -1 on fano3-9, below this map:
-# only a lower-side check of the double cover's jet order would see either.
-KNOWN_GAP = {("fano3-%d" % i, "k_spanned", 3) for i in (1, 2, 3, 4, 9, 10)} | {
-    ("fano3-9", "k_jet", 0)}
+# complete intersection (a witness curve per entry would close these six).
+KNOWN_GAP = {("fano3-%d" % i, "k_spanned", 3) for i in (1, 2, 3, 4, 9, 10)}
 
 
 def _names(failure: str, entry_id: str) -> bool:

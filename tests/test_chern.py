@@ -194,6 +194,29 @@ _small_poly = st.dictionaries(
 ).map(ChernPolynomial)
 
 
+def _assert_checked(x):
+    """`x` holds only what the public constructor admits, and that constructor rebuilds it."""
+    for (i, j), c in x.terms.items():
+        assert type(i) is int and type(j) is int and i >= 0 and j >= 0, (i, j)
+        assert type(c) is int and c != 0, c
+    assert ChernPolynomial(dict(x.terms)) == x
+
+
+# Ring results are built by `_like`, which skips the constructor's checks; these two
+# tests show that those checks could never fail on them.
+@settings(max_examples=100, deadline=None)
+@given(p=_small_poly, q=_small_poly, k=st.integers(-10**30, 10**30), n=st.integers(0, 5))
+def test_ring_results_pass_the_checks_they_skip(p, q, k, n):
+    for x in (p * q, p + q, p - q, -p, p ** n, p * k, k - p, p + k):
+        _assert_checked(x)
+
+
+@pytest.mark.parametrize("d", range(1, 61))
+def test_sym_top_classes_pass_the_checks_they_skip(d):
+    _assert_checked(chern._paired_product(d, d * d))
+    _assert_checked(sym_top_chern_oracle(d))
+
+
 @settings(max_examples=60, deadline=None)
 @given(p=_small_poly, q=_small_poly, r=_small_poly)
 def test_ring_axioms(p, q, r):

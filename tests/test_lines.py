@@ -12,7 +12,7 @@ from fanojet.lines import (
     line_family_through_point,
     lines_class,
 )
-from fanojet.chern import InputError, sym_top_chern
+from fanojet.chern import ChernPolynomial, InputError, sym_top_chern
 from fanojet.schubert import CohomologyElement, from_chern_poly, integrate, mul, sigma
 
 from oracles import bialternant_line_count, free_line_integral
@@ -68,12 +68,30 @@ def test_classical_counts(N, degrees, count):
     assert bialternant_line_count(N, degrees) == count
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 6])
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 60, 100, 140])
 def test_hypersurface_counts_match_bialternant(N):
+    # up to the benchmark's sizes, where count_lines rolls Catalan numbers up to k = N - 1
     d = 2 * N - 3
     got = count_lines(ci(N, d))
     assert got.kind == "finite"
     assert got.count == bialternant_line_count(N, (d,))
+
+
+# Mixed degrees 3..12 at N = 100; with the pair (10, 10), sum(d + 1) = 198 = 2(N - 1).
+_MIXED = (*range(3, 13), 12, 12, 12, 12, 12, 12, 12)
+
+
+@pytest.mark.parametrize("pair, delta", [((10, 10), 0), ((9, 10), 1), ((10, 11), -1)])
+def test_mixed_degree_intersection_at_benchmark_size(pair, delta):
+    X = ci(100, *_MIXED, *pair)
+    assert expected_family_dimension(X) == delta
+    if delta < 0:
+        assert count_lines(X) == LineCount.empty()
+        return
+    integral = bialternant_line_count(100, X.degrees, delta)
+    assert _line_integral(X) == integral
+    expected = LineCount.finite(integral) if delta == 0 else LineCount.family(delta)
+    assert count_lines(X) == expected
 
 
 # --- families and empties -------------------------------------------------------
@@ -192,6 +210,15 @@ def test_fano_scheme_plucker_degree(N, degrees, plucker_degree):
     delta = expected_family_dimension(X)
     assert integrate(lines_class(X) * sigma(N + 1, 1) ** delta) == plucker_degree
     assert _line_integral(X) == plucker_degree  # the Catalan route of count_lines
+
+
+@pytest.mark.parametrize("j", [3, 4, 9])
+def test_line_integral_rejects_a_term_past_the_last_catalan(monkeypatch, j):
+    # c2^j with j > N - 1 has no Catalan number: it raises, never wraps or drops out
+    past_the_end = ChernPolynomial({(0, 2): 1, (0, j): 1})
+    monkeypatch.setattr("fanojet.lines._factor_product", lambda X: past_the_end)
+    with pytest.raises(ValueError, match=r"^term c2\^%d has no Catalan number in G\(2, 4\)$" % j):
+        _line_integral(ci(3, 3))
 
 
 def test_expected_family_dimension_values():
