@@ -18,13 +18,14 @@ downstream, since the splitting-principle expansion pins the coefficient to
 d^2 (the roots t = 0 and t = d contribute d*y and d*x, whose product is
 d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
 
-Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j];
-they share no kernel.  The oracle multiplies root t by root d - t in (x, y) as
-the quadratic t(d-t) x^2 + (t^2 + (d-t)^2) xy + t(d-t) y^2, after the middle
-root (d/2)(x + y) for even d; every partial product is symmetric, so it keeps
-only the first half of each list.  Its e1/e2 rewrite tests symmetry once, then
-divides that half exactly by e1 (additions only), reading each e2^j coefficient
-off the value at (x, y) = (1, -1).
+Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
+and take two factors per pass, the odd one out first; they share no kernel.
+The oracle multiplies root t by root d - t in (x, y) as the quadratic
+t(d-t) x^2 + (t^2 + (d-t)^2) xy + t(d-t) y^2, two such pairs per pass, after the
+middle root (d/2)(x + y) for even d; every partial product is symmetric, so it
+keeps only the first half of each list.  Its e1/e2 rewrite tests symmetry once,
+then divides that half exactly by e1 (additions only), reading each e2^j
+coefficient off the value at (x, y) = (1, -1).
 
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
@@ -265,13 +266,19 @@ class ChernPolynomial(_Combination):
 
 
 def _paired_product(d: int, boundary: int) -> ChernPolynomial:
-    """Closed form d-th symmetric power top class with a chosen boundary coefficient."""
+    """Closed form d-th symmetric power top class with a chosen boundary coefficient.
+
+    Two pair factors go per pass, as one quadratic in (c1^2, c2); t = 1 starts an odd count.
+    """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
     even = 1 - d % 2  # even d carries one more factor (d/2) c1
-    form = [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
-    for t in range(1, (d - 1) // 2 + 1):
-        a, b = t * (d - t), (d - 2 * t) ** 2
-        form = [a * p + b * q for p, q in zip(form + [0], [0] + form)]
+    pairs, form = (d - 1) // 2, [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
+    if pairs % 2:
+        form = [form[0] * (d - 1), form[0] * (d - 2) ** 2]
+    for t in range(1 + pairs % 2, pairs, 2):
+        a1, a2, b1, b2 = t * (d - t), (t + 1) * (d - t - 1), (d - 2 * t) ** 2, (d - 2 * t - 2) ** 2
+        a, b, c, z = a1 * a2, a1 * b2 + a2 * b1, b1 * b2, [0, 0, *form, 0, 0]
+        form = [a * r + b * q + c * p for p, q, r in zip(z, z[1:], z[2:])]
     top = len(form) - 1
     return ChernPolynomial._like({(2 * (top - j) + even, j + 1): c for j, c in enumerate(form)})
 
@@ -288,20 +295,25 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     """Splitting-principle computation of c_(d+1)(Sym^d F).
 
     Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots, then rewrites
-    it in e1, e2.  Root t times root d - t is a symmetric quadratic built from
-    their coefficients, so only the first half of each partial product is kept
-    and the list is mirrored once.  Pairing only orders the multiplication: the
-    closed form's pair factor t(d-t) c1^2 + (d-2t)^2 c2, its boundary d^2 and its
-    even-d factor (d/2) c1 appear nowhere here.
+    it in e1, e2.  Root t times root d - t is a symmetric quadratic, and two such
+    pairs go per pass as one symmetric quartic, roots 0 and d first if the pairs
+    are odd in number; so only the first half of each partial product is kept and
+    the list is mirrored once.  Pairing only orders the multiplication: the closed
+    form's pair factor t(d-t) c1^2 + (d-2t)^2 c2, its boundary d^2 and its even-d
+    factor (d/2) c1 appear nowhere here.
     """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
-    even = 1 - d % 2
+    even, pairs = 1 - d % 2, (d + 1) // 2  # root t times root d - t, for 0 <= t < pairs
     half = [(d // 2) ** even]  # the middle root (d/2)(x + y) for even d, else 1
-    for t in range((d + 1) // 2):
-        a, b = t * (d - t), t * t + (d - t) ** 2
-        z = [0, 0, *half]
-        z.append(z[even - 2])  # the coefficient past the half, by symmetry
-        half = [a * (p + r) + b * q for p, q, r in zip(z, z[1:], z[2:])]
+    if pairs % 2:
+        half = [0, d * d * half[0]]  # roots 0 and d: (d y)(d x)
+    for t in range(pairs % 2, pairs, 2):
+        a1, b1 = t * (d - t), t * t + (d - t) ** 2
+        a2, b2 = (t + 1) * (d - t - 1), (t + 1) ** 2 + (d - t - 1) ** 2
+        a, b, c, z = a1 * a2, a1 * b2 + a2 * b1, 2 * a1 * a2 + b1 * b2, [0, 0, 0, 0, *half]
+        z += z[even - 2], z[even - 3]  # the two coefficients past the half, by symmetry
+        half = [a * (p + v) + b * (q + s) + c * r
+                for p, q, r, s, v in zip(z, z[1:], z[2:], z[3:], z[4:])]
     return ChernPolynomial._like(_elementary_rewrite(half + half[::-1][1 - even:]))
 
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fanojet.bounds import (
     BoundsVerdict,
@@ -13,6 +13,8 @@ from fanojet.bounds import (
     min_sections,
     nefvalue_bound,
 )
+from fanojet.fano import degree_of_twist, h0_of_twist
+from fanojet.lines import CompleteIntersection
 
 
 def test_min_degree_examples():
@@ -165,3 +167,16 @@ def test_curve_degree_floor():
     assert not 2 < curve_degree_floor(2)
     # degree 2 breaks 3-very ampleness
     assert 2 < curve_degree_floor(3)
+
+
+@settings(max_examples=300, deadline=None)
+@example(N=2, degrees=[1], t=2)  # a line with O(2): h0 = 3 and degree 2, on both floors
+@given(N=st.integers(1, 8), degrees=st.lists(st.integers(1, 5), max_size=7), t=st.integers(2, 6))
+def test_twists_of_complete_intersections_meet_the_floors(N, degrees, t):
+    # O_X(t) restricts the t-jet ample O_{P^N}(t), so it is t-very ample, and the floors that
+    # `check` states must hold for the degree and h0 that `fano` computes.
+    X = CompleteIntersection(N, tuple(degrees[: N - 1]))  # r < N: X has dimension >= 1
+    verdict = check(PolarizedInvariants(X.dim, t, degree_of_twist(X, t), h0_of_twist(X, t)))
+    assert verdict.ok, verdict
+    if X.dim >= 3:  # K_X + tau O_X(t) is nef from tau = (N + 1 - sum d) / t on
+        assert Fraction(N + 1 - X.degree_sum, t) <= nefvalue_bound(X.dim, t)

@@ -1,4 +1,5 @@
 import re
+from functools import cache
 from math import comb, prod
 
 import pytest
@@ -56,10 +57,21 @@ def test_oracle_agrees_with_independent_rewrite(d):
     assert dict(sym_top_chern_oracle(d).terms) == sym_top_roots_in_chern(d)
 
 
+_unpaired = cache(unpaired_sym_top_chern)  # shared by the two routes' tests below
+
+
 @pytest.mark.parametrize("d", [*range(1, 301), 555, 801])
 def test_paired_oracle_equals_unpaired_route(d):
     # Both parities, well past the d <= 277 that the benchmark's lines-hyper reaches.
-    assert dict(sym_top_chern_oracle(d).terms) == unpaired_sym_top_chern(d)
+    assert dict(sym_top_chern_oracle(d).terms) == _unpaired(d)
+
+
+@pytest.mark.parametrize("d", [*range(1, 301), 555, 801])
+def test_closed_form_equals_unpaired_route(d):
+    # The closed form on its own, not only through sym_top_chern's comparison.  Both
+    # routes take two factors per pass, starting with the odd one out; d runs over every
+    # residue mod 4, so each parity of d meets each parity of the factor count.
+    assert dict(chern._paired_product(d, d * d).terms) == _unpaired(d)
 
 
 @pytest.mark.parametrize("d", [5, 6, 277])

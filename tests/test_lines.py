@@ -168,6 +168,29 @@ def test_catalan_integral_equals_schubert_route(N, degrees):
     assert integral > 0
 
 
+@st.composite
+def _lines_expected(draw):
+    """(N, degrees) with delta = 2(N - 1) - sum(d + 1) >= 0; r = 0 (all of P^N) included."""
+    N = draw(st.integers(1, 12))
+    degrees, room = [], 2 * (N - 1)
+    while room >= 2 and draw(st.booleans()):
+        degrees.append(draw(st.integers(1, room - 1)))
+        room -= degrees[-1] + 1
+    return N, tuple(degrees)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_lines_expected())
+def test_line_integral_equals_bialternant_for_every_delta(case):
+    # route A, the Catalan sum over the Z[c1, c2] product, against route B, the coefficient
+    # [x^N y^(N-1)] (x - y)(x + y)^delta prod_i prod_t (t x + (d_i - t) y), at any delta >= 0
+    N, degrees = case
+    X = CompleteIntersection(N, degrees)
+    delta = expected_family_dimension(X)
+    assert delta >= 0
+    assert _line_integral(X) == bialternant_line_count(N, degrees, delta)
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_class_invariant_under_degree_permutation(data):
