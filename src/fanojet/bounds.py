@@ -9,19 +9,16 @@ irreducible curve has L . C >= k.  Everything here is exact: integers and
 fractions.Fraction only.
 """
 
-from .chern import _at_least, _Record, _strict_int
+from .chern import _at_least, _Record
 
 
 class PolarizedInvariants(_Record):
-    """Dimension n >= 1, claimed order k >= 2, and optionally L^n >= 1 and h^0(L) >= 0, as ints."""
+    """Ints n >= 1, k >= 2, and optionally L^n >= 1 and h^0(L) >= 0; each type checked once."""
 
     __slots__ = {"n": "int", "k": "int", "deg": "int | None", "h0": "int | None"}
     _defaults = {"deg": None, "h0": None}
 
     def __post_init__(self):
-        for value in (self.n, self.k, self.deg, self.h0):
-            if value is not None:
-                _strict_int(value, "every field of PolarizedInvariants")
         min_degree(self.n, self.k)  # the domain of the floors, and so of `check`
         if self.deg is not None:
             _at_least(self.deg, 1, "degree", "degree must be >= 1")

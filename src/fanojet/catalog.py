@@ -26,10 +26,11 @@ from .lines import CompleteIntersection, count_lines
 class CatalogEntry(_Record):
     """One classified pair (X, L) with independently derived invariants.
 
-    `ci`/`twist` are set when X is a complete intersection (or all of P^N)
-    and L = O_X(twist), enabling machine recomputation of degree and h0;
-    `box_factors` holds the factor orders when L is an external product.
-    `source` and `flag` are not stored: they follow from n and from the orders.
+    `ci`/`twist` are set when X is a complete intersection (or all of P^N) and
+    L = O_X(twist), enabling recomputation of degree and h0; `box_factors` holds the
+    factor orders when L is an external product.  `source` and `flag` follow from n and
+    the orders.  Each int field (`twist` when set, each box factor) is checked once: a
+    float, str, None or bool raises TypeError ("degree must be an int, got 24.0").
     """
 
     __slots__ = {
@@ -39,6 +40,13 @@ class CatalogEntry(_Record):
         "box_factors": "tuple[int, ...] | None",
     }
     _defaults = {"ci": None, "twist": None, "box_factors": None}
+
+    def __post_init__(self):
+        for name in ("n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0", "twist"):
+            if name != "twist" or self.twist is not None:
+                _strict_int(getattr(self, name), name)
+        for factor in self.box_factors or ():
+            _strict_int(factor, "each box factor")
 
     @property
     def source(self) -> str:
@@ -249,22 +257,17 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
 )
 
 
-def _strict_str(value, what: str) -> None:
-    if not isinstance(value, str):
-        raise TypeError("%s must be a str, got %r" % (what, value))
-
-
 def entries(n: int | None = None, k: int | None = None,
             entry_id: str | None = None) -> list[CatalogEntry]:
     """Catalog entries in stable order, optionally filtered by n, k, or id.
 
     `k` filters on k_very_ample.  A filter of the wrong type raises TypeError.
     """
-    filters = ((n, "dimension filter", _strict_int), (k, "k filter", _strict_int),
-               (entry_id, "id filter", _strict_str))
-    for value, what, valid in filters:
+    for value, what in ((n, "dimension filter"), (k, "k filter")):
         if value is not None:
-            valid(value, what)
+            _strict_int(value, what)
+    if not isinstance(entry_id, (str, type(None))):
+        raise TypeError("id filter must be a str, got %r" % (entry_id,))
     return [
         e for e in _ENTRIES
         if n in (None, e.n) and k in (None, e.k_very_ample) and entry_id in (None, e.id)
@@ -284,7 +287,7 @@ def _entry_checks(e: CatalogEntry):
 
     The order chain and, after the rows, the floors are predicates; every other check
     is a row (quantity, stored, recomputed) that holds when the two agree.  A stored
-    value outside a library function's domain raises its `InputError` here.
+    value outside a library function's domain raises its `InputError` or `TypeError` here.
     """
     yield (1 <= e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%d, k_very_ample=%d, k_spanned=%d"
@@ -310,15 +313,16 @@ def verify_all(catalog=None) -> CatalogVerification:
     """Re-verify every entry against the computational modules; report, never raise.
 
     Checks, per entry: the order chain 1 <= k_jet <= k_very_ample <= k_spanned (very
-    ample is 1-jet ample, and k_very_ample >= 2 for every entry), one row
-    (quantity, stored, recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n
-    (every entry is a Mukai pair, K = -(n-2)L); for complete-intersection entries the
-    degree, h0 and each of the three orders; and box-product orders; then the floors.
-    A row that differs fails as "<quantity> mismatch (stored S, recomputed R)".
-    Globally, exactly one entry (the double cover) may have k_jet < k_very_ample; its
-    flag follows from that.  Accepts an alternative entry sequence so that fault
-    injection is testable; a stored value that a library function rejects (k < 2,
-    twist < 0, ...) ends its entry as "<id>: outside the library's domain: <message>".
+    ample is 1-jet ample, and k_very_ample >= 2 for every entry), one row (quantity,
+    stored, recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n (every entry
+    is a Mukai pair, K = -(n-2)L); for complete-intersection entries the degree, h0 and
+    each of the three orders; and box-product orders; then the floors.  A row that
+    differs fails as "<quantity> mismatch (stored S, recomputed R)".  Globally, exactly
+    one entry (the double cover) may have k_jet < k_very_ample; its flag follows from
+    that.  Accepts an alternative entry sequence so that fault injection is testable.  A
+    stored value that a library function rejects, by InputError (k < 2, twist < 0, ...)
+    or TypeError (a complete-intersection entry with no twist, an empty `box_factors`),
+    ends its entry as "<id>: outside the library's domain: <message>".
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     failures = []
@@ -327,7 +331,7 @@ def verify_all(catalog=None) -> CatalogVerification:
             for holds, message in _entry_checks(e):
                 if not holds:
                     failures.append("%s: %s" % (e.id, message))
-        except InputError as exc:
+        except (InputError, TypeError) as exc:
             failures.append("%s: outside the library's domain: %s" % (e.id, exc))
     deficient = [e.id for e in rows if e.k_jet < e.k_very_ample]
     if deficient != ["fano3-9"]:

@@ -4,8 +4,9 @@ A complete intersection X of degrees d_1, ..., d_r in P^N has
 K_X = O(-N - 1 + sum(d_i)) restricted to X, so X is Fano exactly when
 sum(d_i) <= N.  For Fano X of dimension >= 2 the anticanonical bundle is
 k-jet ample with k = N + 1 - sum(d_i), and since X contains a line ell with
--K_X . ell = k, it is not (k+1)-spanned: the jet order is exact.  The only
-curve escaping the pattern is the plane conic.
+-K_X . ell = k, it is not (k+1)-spanned: the jet order is exact.  For a curve
+`analyze` extrapolates k, withholding it for the plane conic alone, though no conic
+has a line: CI(1,2) in P^3 still gets k = 1 (item 7 of ROADMAP.md).
 """
 
 from itertools import combinations

@@ -15,7 +15,7 @@ delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan
 from itertools import accumulate
 from math import prod
 
-from .chern import ChernPolynomial, InputError, _at_least, _Record, _strict_int, sym_top_chern
+from .chern import ChernPolynomial, InputError, _at_least, _Record, sym_top_chern
 
 
 class CompleteIntersection(_Record):
@@ -30,8 +30,6 @@ class CompleteIntersection(_Record):
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        for value in (self.N, *self.degrees):
-            _strict_int(value, "N and each degree")
         _at_least(self.N, 1, "N", "ambient dimension N must be >= 1")
         for d in self.degrees:
             _at_least(d, 1, "each degree", "degrees must be positive integers")

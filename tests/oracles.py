@@ -19,6 +19,11 @@ def catalan(k: int) -> int:
     return factorial(2 * k) // (factorial(k) * factorial(k + 1))
 
 
+def degree_tuples(r: int, dmax: int) -> list:
+    """Every nondecreasing r-tuple of degrees in 1..dmax, in lexicographic order."""
+    return list(combinations_with_replacement(range(1, dmax + 1), r))
+
+
 # ---------------------------------------------------------------------------
 # free two-row Schur ring (no ambient truncation)
 

@@ -21,7 +21,7 @@ from fanojet.fano import analyze, h0_of_twist
 from fanojet.lines import CompleteIntersection, count_lines, lines_class
 from fanojet.schubert import CohomologyElement, integrate, mul, plucker_degree, sigma
 
-from oracles import catalan, free_line_integral, free_mul, monomial_hilbert, truncate
+from oracles import catalan, degree_tuples, free_line_integral, free_mul, monomial_hilbert, truncate
 
 
 def criterion(num, title):
@@ -77,7 +77,7 @@ def test_criterion_4_nonvanishing_equivalence():
     checked = 0
     for N in range(2, 9):
         for r in range(1, min(3, N - 1) + 1):
-            for degrees in _sorted_tuples(r, 5):
+            for degrees in degree_tuples(r, 5):
                 c = CompleteIntersection(N, degrees)
                 nonzero = not lines_class(c).is_zero()
                 assert nonzero == (c.degree_sum <= 2 * N - 2 - c.r), c
@@ -165,34 +165,13 @@ def test_criterion_9_properties():
             assert count_lines(CompleteIntersection(N, tuple(shuffled))) == base
     # h0 against brute-force Hilbert coefficients
     for N in range(1, 6):
-        for degrees in _all_tuples_up_to(min(2, N - 1), 4):
+        for degrees in (t for r in range(min(2, N - 1) + 1) for t in degree_tuples(r, 4)):
             c = CompleteIntersection(N, degrees)
             for t in range(7):
                 assert h0_of_twist(c, t) == monomial_hilbert(N, degrees, t)
     # The classification theorems themselves (existence and uniqueness of the
     # listed pairs) are proofs, not computations; these data-level consistency
     # checks are the stated substitute.
-
-
-def _sorted_tuples(r, dmax):
-    if r == 0:
-        return [()]
-    return [
-        tail + (d,)
-        for tail in _sorted_tuples(r - 1, dmax)
-        for d in range(tail[-1] if tail else 1, dmax + 1)
-    ]
-
-
-def _all_tuples_up_to(rmax, dmax):
-    out = [()]
-    frontier = [()]
-    for _ in range(rmax):
-        frontier = [
-            tail + (d,) for tail in frontier for d in range(tail[-1] if tail else 1, dmax + 1)
-        ]
-        out.extend(frontier)
-    return out
 
 
 def _random_element(rng, m):

@@ -113,7 +113,9 @@ def test_check_is_total_on_its_records(n, k, deg, h0):
     ],
 )
 def test_invariants_reject_non_int(fields):
-    with pytest.raises(TypeError):
+    names = ("dimension n", "order k", "degree", "h0")
+    first_bad = next(name for name, v in zip(names, fields) if type(v) is not int)
+    with pytest.raises(TypeError, match="^%s must be an int" % first_bad):
         PolarizedInvariants(*fields)
 
 

@@ -202,6 +202,35 @@ def test_every_single_field_fault_is_reported_and_none_raises():
     assert silent == KNOWN_GAP
 
 
+def _type_faults(e):
+    """Single-field type faults of `e`, as `_replace` changes: each int field as a float,
+    a str, None and a bool; on a box product, no factors and the last factor a float."""
+    fields = ["n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0"]
+    faults = [{field: cast(getattr(e, field))}
+              for field in fields + ["twist"] * (e.twist is not None)
+              for cast in (float, str, lambda v: None, bool)]
+    if e.box_factors is not None:
+        *head, last = e.box_factors
+        faults += [{"box_factors": ()}, {"box_factors": (*head, float(last))}]
+    return faults
+
+
+def test_every_type_fault_is_rejected_or_reported_and_none_raises():
+    faults = [(e, changes) for e in entries() for changes in _type_faults(e)]
+    assert len(faults) == 318
+    reported = 0
+    for e, changes in faults:
+        try:
+            broken = [x._replace(**changes) if x is e else x for x in entries()]
+        except TypeError:
+            continue
+        failures = verify_all(broken).failures  # raises nothing
+        assert any(f.startswith(e.id + ": ") for f in failures), (e.id, changes)
+        reported += 1
+    # A complete-intersection entry with no twist, and a box product with no factors.
+    assert reported == 6 + 3
+
+
 def _domain_faults(e):
     """Stored values outside a library function's domain, as `_replace` changes of `e`."""
     faults = [{"degree": 0}, {"n": 0}, {"h0": -1}, {"k_very_ample": 0}, {"k_very_ample": 1}]

@@ -18,7 +18,7 @@ from fanojet.lines import (
 )
 from fanojet.schubert import CohomologyElement
 
-from oracles import monomial_hilbert
+from oracles import degree_tuples, monomial_hilbert
 
 
 def ci(N, *degrees):
@@ -118,28 +118,17 @@ def test_h0_rejects_negative_twist():
 
 def test_h0_against_monomial_enumeration():
     for N in range(1, 6):
-        for degrees in _degree_tuples_up_to(min(2, N - 1), 4):
+        for degrees in (t for r in range(min(2, N - 1) + 1) for t in degree_tuples(r, 4)):
             c = CompleteIntersection(N, degrees)
             for t in range(7):
                 assert h0_of_twist(c, t) == monomial_hilbert(N, degrees, t), (N, degrees, t)
-
-
-def _degree_tuples_up_to(rmax, dmax):
-    out = [()]
-    frontier = [()]
-    for _ in range(rmax):
-        frontier = [
-            tail + (d,) for tail in frontier for d in range(tail[-1] if tail else 1, dmax + 1)
-        ]
-        out.extend(frontier)
-    return out
 
 
 # --- jet order and line existence must cohere over a sweep --------------------------
 
 def test_fano_sweep_consistency():
     for N in range(2, 10):
-        for degrees in _degree_tuples_up_to(3, 5):
+        for degrees in (t for r in range(4) for t in degree_tuples(r, 5)):
             c = CompleteIntersection(N, degrees)
             if c.r >= N or c.dim < 2 or c.degree_sum > N:
                 continue

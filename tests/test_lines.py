@@ -15,7 +15,7 @@ from fanojet.lines import (
 from fanojet.chern import ChernPolynomial, InputError, sym_top_chern
 from fanojet.schubert import CohomologyElement, from_chern_poly, integrate, mul, sigma
 
-from oracles import bialternant_line_count, free_line_integral
+from oracles import bialternant_line_count, degree_tuples, free_line_integral
 
 
 def ci(N, *degrees):
@@ -127,20 +127,10 @@ def test_criterion_equivalence_small_sweep():
     # nonzero class <=> sum(d) <= 2N - 2 - r; the full range runs in acceptance
     for N in range(2, 7):
         for r in range(1, min(3, N - 1) + 1):
-            for degrees in _degree_tuples(r, 4):
+            for degrees in degree_tuples(r, 4):
                 c = CompleteIntersection(N, degrees)
                 nonzero = not lines_class(c).is_zero()
                 assert nonzero == (c.degree_sum <= 2 * N - 2 - r)
-
-
-def _degree_tuples(r, dmax):
-    if r == 0:
-        return [()]
-    return [
-        tail + (d,)
-        for tail in _degree_tuples(r - 1, dmax)
-        for d in range(tail[-1] if tail else 1, dmax + 1)
-    ]
 
 
 # --- structural properties -------------------------------------------------------
