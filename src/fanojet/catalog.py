@@ -28,9 +28,11 @@ class CatalogEntry(_Record):
 
     `ci`/`twist` are set when X is a complete intersection (or all of P^N) and
     L = O_X(twist), enabling recomputation of degree and h0; `box_factors` holds the
-    factor orders when L is an external product.  `source` and `flag` follow from n and
-    the orders.  Each int field (`twist` when set, each box factor) is checked once: a
-    float, str, None or bool raises TypeError ("degree must be an int, got 24.0").
+    factor orders when L is an external product, stored as a tuple.  `source` and `flag`
+    follow from n and the orders.  Each int field (`twist` when set, each box factor) is
+    checked once: a float, str, None or bool raises TypeError ("degree must be an int,
+    got 24.0"), as does a `ci` that is not a CompleteIntersection; an empty `box_factors`
+    raises InputError.
     """
 
     __slots__ = {
@@ -45,8 +47,14 @@ class CatalogEntry(_Record):
         for name in ("n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0", "twist"):
             if name != "twist" or self.twist is not None:
                 _strict_int(getattr(self, name), name)
-        for factor in self.box_factors or ():
-            _strict_int(factor, "each box factor")
+        if not isinstance(self.ci, (CompleteIntersection, type(None))):
+            raise TypeError("ci must be a CompleteIntersection, got %r" % (self.ci,))
+        if self.box_factors is not None:
+            object.__setattr__(self, "box_factors", tuple(self.box_factors))
+            if not self.box_factors:
+                raise InputError("box_factors must name at least one factor")
+            for factor in self.box_factors:
+                _strict_int(factor, "each box factor")
 
     @property
     def source(self) -> str:
@@ -321,8 +329,8 @@ def verify_all(catalog=None) -> CatalogVerification:
     one entry (the double cover) may have k_jet < k_very_ample; its flag follows from
     that.  Accepts an alternative entry sequence so that fault injection is testable.  A
     stored value that a library function rejects, by InputError (k < 2, twist < 0, ...)
-    or TypeError (a complete-intersection entry with no twist, an empty `box_factors`),
-    ends its entry as "<id>: outside the library's domain: <message>".
+    or TypeError (a complete-intersection entry with no twist), ends its entry as
+    "<id>: outside the library's domain: <message>".
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     failures = []

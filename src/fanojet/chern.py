@@ -20,12 +20,13 @@ d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
 
 Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
 and take two factors per pass, the odd one out first; they share no kernel.
-The oracle multiplies root t by root d - t in (x, y) as the quadratic
-t(d-t) x^2 + (t^2 + (d-t)^2) xy + t(d-t) y^2, two such pairs per pass, after the
-middle root (d/2)(x + y) for even d; every partial product is symmetric, so it
-keeps only the first half of each list.  Its e1/e2 rewrite tests symmetry once,
-then divides that half exactly by e1 (additions only), reading each e2^j
-coefficient off the value at (x, y) = (1, -1).
+Each divides a pass's multipliers by their gcd and carries the gcds, with its
+own constant content, as one scale applied at the end.  The oracle multiplies
+root t by root d - t in (x, y) as t(d-t) x^2 + (t^2 + (d-t)^2) xy + t(d-t) y^2,
+two such pairs per pass, after the middle root (d/2)(x + y) for even d; every
+partial product is symmetric, so it keeps only the first half of each list, and
+its e1/e2 rewrite takes that half, dividing it exactly by e1 (additions only)
+and reading each e2^j coefficient off the value at (x, y) = (1, -1).
 
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
@@ -33,7 +34,7 @@ a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
 
 from functools import cache
 from itertools import accumulate, repeat
-from math import prod
+from math import gcd, prod
 from types import MappingProxyType
 from typing import Mapping
 
@@ -269,18 +270,21 @@ def _paired_product(d: int, boundary: int) -> ChernPolynomial:
     """Closed form d-th symmetric power top class with a chosen boundary coefficient.
 
     Two pair factors go per pass, as one quadratic in (c1^2, c2); t = 1 starts an odd count.
+    Each quadratic loses its content gcd, kept with boundary * (d/2)^even in one final scale.
     """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
     even = 1 - d % 2  # even d carries one more factor (d/2) c1
-    pairs, form = (d - 1) // 2, [boundary * (d // 2) ** even]  # a binary form in (c1^2, c2)
-    if pairs % 2:
-        form = [form[0] * (d - 1), form[0] * (d - 2) ** 2]
+    pairs, scale = (d - 1) // 2, boundary * (d // 2) ** even
+    form = [d - 1, (d - 2) ** 2] if pairs % 2 else [1]  # a binary form in (c1^2, c2)
     for t in range(1 + pairs % 2, pairs, 2):
         a1, a2, b1, b2 = t * (d - t), (t + 1) * (d - t - 1), (d - 2 * t) ** 2, (d - 2 * t - 2) ** 2
-        a, b, c, z = a1 * a2, a1 * b2 + a2 * b1, b1 * b2, [0, 0, *form, 0, 0]
+        a, b, c = a1 * a2, a1 * b2 + a2 * b1, b1 * b2
+        g, z = gcd(a, b, c), [0, 0, *form, 0, 0]
+        a, b, c, scale = a // g, b // g, c // g, scale * g
         form = [a * r + b * q + c * p for p, q, r in zip(z, z[1:], z[2:])]
     top = len(form) - 1
-    return ChernPolynomial._like({(2 * (top - j) + even, j + 1): c for j, c in enumerate(form)})
+    return ChernPolynomial._like({(2 * (top - j) + even, j + 1): scale * c
+                                  for j, c in enumerate(form)})
 
 
 def sym_top_chern_paper(d: int) -> ChernPolynomial:
@@ -297,52 +301,52 @@ def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots, then rewrites
     it in e1, e2.  Root t times root d - t is a symmetric quadratic, and two such
     pairs go per pass as one symmetric quartic, roots 0 and d first if the pairs
-    are odd in number; so only the first half of each partial product is kept and
-    the list is mirrored once.  Pairing only orders the multiplication: the closed
-    form's pair factor t(d-t) c1^2 + (d-2t)^2 c2, its boundary d^2 and its even-d
-    factor (d/2) c1 appear nowhere here.
+    are odd in number; so only the first half of each partial product is kept, and
+    `_elementary_rewrite` takes that half.  Each quartic loses its content gcd; the
+    gcds, d^2 (roots 0 and d) and d/2 (the middle root) make one scale, applied to
+    the rewrite's output, which is linear.  Pairing only orders the multiplication:
+    the closed form's pair factor t(d-t) c1^2 + (d-2t)^2 c2, its boundary d^2 and
+    its even-d factor (d/2) c1 appear nowhere here.
     """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
     even, pairs = 1 - d % 2, (d + 1) // 2  # root t times root d - t, for 0 <= t < pairs
-    half = [(d // 2) ** even]  # the middle root (d/2)(x + y) for even d, else 1
-    if pairs % 2:
-        half = [0, d * d * half[0]]  # roots 0 and d: (d y)(d x)
+    half = [0, 1] if pairs % 2 else [1]  # roots 0 and d give (d y)(d x) = d^2 xy
+    scale = (d // 2) ** even * (d * d if pairs % 2 else 1)  # d^2, and the middle root's d/2
     for t in range(pairs % 2, pairs, 2):
         a1, b1 = t * (d - t), t * t + (d - t) ** 2
         a2, b2 = (t + 1) * (d - t - 1), (t + 1) ** 2 + (d - t - 1) ** 2
-        a, b, c, z = a1 * a2, a1 * b2 + a2 * b1, 2 * a1 * a2 + b1 * b2, [0, 0, 0, 0, *half]
+        a, b, c = a1 * a2, a1 * b2 + a2 * b1, 2 * a1 * a2 + b1 * b2
+        g, z = gcd(a, b, c), [0, 0, 0, 0, *half]
+        a, b, c, scale = a // g, b // g, c // g, scale * g
         z += z[even - 2], z[even - 3]  # the two coefficients past the half, by symmetry
         half = [a * (p + v) + b * (q + s) + c * r
                 for p, q, r, s, v in zip(z, z[1:], z[2:], z[3:], z[4:])]
-    return ChernPolynomial._like(_elementary_rewrite(half + half[::-1][1 - even:]))
+    terms = _elementary_rewrite(half, d + 1)
+    return ChernPolynomial._like({key: scale * c for key, c in terms.items()})
 
 
-def _elementary_rewrite(xy: list) -> dict:
-    """Rewrite a symmetric binary form in x, y as a polynomial in e1, e2.
+def _elementary_rewrite(half: list, n: int) -> dict:
+    """Rewrite a symmetric binary form in x, y of degree n as a polynomial in e1, e2.
 
-    `xy[j]` is the coefficient of x^(n-j) y^j, n = len(xy) - 1; a form that is
-    not its own reverse raises ArithmeticError.  A symmetric f is e1 times a
-    symmetric form if n is odd, and c e2^m plus e1^2 times one if n = 2m, where
+    `half[j]` is the coefficient of x^(n-j) y^j for j <= n // 2, the first half of the
+    form; symmetry gives the rest, so no input is asymmetric.  A symmetric f is e1 times
+    a symmetric form if n is odd, and c e2^m plus e1^2 times one if n = 2m, where
     c = (-1)^m f(1, -1).  So divide once by e1 for odd n, then read c off
     f(1, -1) = 2*S + middle (S the alternating sum before the middle) and divide
-    f - c e2^m by e1^2, down to m = 0.  This runs on the first half with signs
-    (-1)^j folded in, where dividing by e1 = x + y is a prefix sum (additions
-    only).  Like the expansion, it uses nothing of the closed form.
+    f - c e2^m by e1^2, down to m = 0.  This runs on the half with signs (-1)^j and
+    two leading 0s, where dividing by e1 = x + y is a prefix sum: one double prefix
+    sum H divides by e1^2, and H[-1] - H[-3] = 2*S + middle.  The map is linear, so
+    the oracle applies its one scale to the output.  It uses nothing of the closed form.
     """
-    n = len(xy) - 1
-    if xy != xy[::-1]:
-        raise ArithmeticError("nonsymmetric form of degree %d" % n)
-    # The first half with signs (-1)^j, after a 0 so that S reads 0 at m = 0.
-    half = [0, *(-c if j % 2 else c for j, c in enumerate(xy[: n // 2 + 1]))]
+    signed = [0, 0, *(-c if j % 2 else c for j, c in enumerate(half))]
     if n % 2:
-        half = list(accumulate(half))  # f / e1
+        signed = list(accumulate(signed))  # f / e1
     out = {}
-    for m in range(len(half) - 2, -1, -1):
-        quotient = list(accumulate(half[:-1]))  # (f - c e2^m) / e1, first half
-        value = 2 * quotient[-1] + half[-1]
+    for m in range(len(signed) - 3, -1, -1):
+        signed = list(accumulate(accumulate(signed)))  # (f - c e2^m) / e1^2, and one more
+        value = signed.pop() - signed[-2]  # H[-1] - H[-3] = 2*S + middle
         if value:
             out[(n - 2 * m, m)] = -value if m % 2 else value
-        half = list(accumulate(quotient))
     return dict(reversed(out.items()))
 
 

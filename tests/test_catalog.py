@@ -10,6 +10,7 @@ from fanojet.catalog import (
     entries,
     verify_all,
 )
+from fanojet.chern import InputError
 from fanojet.lines import CompleteIntersection
 from fanojet.schubert import plucker_degree
 
@@ -204,31 +205,53 @@ def test_every_single_field_fault_is_reported_and_none_raises():
 
 def _type_faults(e):
     """Single-field type faults of `e`, as `_replace` changes: each int field as a float,
-    a str, None and a bool; on a box product, no factors and the last factor a float."""
+    a str, None and a bool; on a complete intersection, `ci` as a tuple and as a str; on a
+    box product, no factors, the last factor a float, and the factors as a list (which is
+    stored as the tuple, so that change is no fault)."""
     fields = ["n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0"]
     faults = [{field: cast(getattr(e, field))}
               for field in fields + ["twist"] * (e.twist is not None)
               for cast in (float, str, lambda v: None, bool)]
+    if e.ci is not None:
+        faults += [{"ci": (e.ci.N, e.ci.degrees)}, {"ci": str(e.ci)}]
     if e.box_factors is not None:
         *head, last = e.box_factors
-        faults += [{"box_factors": ()}, {"box_factors": (*head, float(last))}]
+        faults += [{"box_factors": ()}, {"box_factors": (*head, float(last))},
+                   {"box_factors": list(e.box_factors)}]
     return faults
 
 
 def test_every_type_fault_is_rejected_or_reported_and_none_raises():
     faults = [(e, changes) for e in entries() for changes in _type_faults(e)]
-    assert len(faults) == 318
-    reported = 0
+    assert len(faults) == 318 + 2 * 6 + 3
+    reported = stored_alike = 0
     for e, changes in faults:
         try:
-            broken = [x._replace(**changes) if x is e else x for x in entries()]
-        except TypeError:
+            changed = e._replace(**changes)
+        except (TypeError, InputError):
             continue
-        failures = verify_all(broken).failures  # raises nothing
+        failures = verify_all([changed if x is e else x for x in entries()]).failures
+        if changed == e:  # box factors given as a list, stored as the tuple
+            assert hash(changed) == hash(e) and type(changed.box_factors) is tuple
+            assert failures == ()
+            stored_alike += 1
+            continue
         assert any(f.startswith(e.id + ": ") for f in failures), (e.id, changes)
         reported += 1
-    # A complete-intersection entry with no twist, and a box product with no factors.
-    assert reported == 6 + 3
+    # A complete-intersection entry with no twist.
+    assert (reported, stored_alike) == (6, 3)
+
+
+def test_catalog_entry_rejects_a_ci_of_another_type_and_empty_box_factors():
+    (cubic,) = entries(entry_id="fano3-7")
+    for ci in ((4, (3,)), "P4"):
+        with pytest.raises(TypeError, match="^ci must be a CompleteIntersection, got "):
+            cubic._replace(ci=ci)
+    (flag,) = entries(entry_id="fano3-1")
+    with pytest.raises(InputError, match="box_factors"):
+        flag._replace(box_factors=())
+    listed = flag._replace(box_factors=[2, 2])
+    assert listed == flag and hash(listed) == hash(flag) and listed.box_factors == (2, 2)
 
 
 def _domain_faults(e):

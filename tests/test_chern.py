@@ -60,13 +60,14 @@ def test_oracle_agrees_with_independent_rewrite(d):
 _unpaired = cache(unpaired_sym_top_chern)  # shared by the two routes' tests below
 
 
-@pytest.mark.parametrize("d", [*range(1, 301), 555, 801])
+@pytest.mark.parametrize("d", [*range(1, 301), 555, 557, 801])
 def test_paired_oracle_equals_unpaired_route(d):
-    # Both parities, well past the d <= 277 that the benchmark's lines-hyper reaches.
+    # Both parities, well past the d <= 277 that the benchmark's lines-hyper reaches; at
+    # the prime 557 every pass's multipliers are coprime, so nothing moves into the scale.
     assert dict(sym_top_chern_oracle(d).terms) == _unpaired(d)
 
 
-@pytest.mark.parametrize("d", [*range(1, 301), 555, 801])
+@pytest.mark.parametrize("d", [*range(1, 301), 555, 557, 801])
 def test_closed_form_equals_unpaired_route(d):
     # The closed form on its own, not only through sym_top_chern's comparison.  Both
     # routes take two factors per pass, starting with the odd one out; d runs over every
@@ -98,12 +99,6 @@ def test_canonical_evaluates_to_root_product(d):
         assert value == prod(t + (d - t) * s for t in range(d + 1))
 
 
-@pytest.mark.parametrize("xy", [[1, 0], [1, 2, 3], [0, 1, 0, 0]])
-def test_elementary_rewrite_rejects_nonsymmetric_form(xy):
-    with pytest.raises(ArithmeticError):
-        _elementary_rewrite(xy)
-
-
 @st.composite
 def _elementary_forms(draw):
     """(n, cs, xy): xy is the coefficient list of sum_j cs[j] * e1^(n-2j) * e2^j."""
@@ -118,17 +113,12 @@ def _elementary_forms(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(form=_elementary_forms(), data=st.data())
-def test_elementary_rewrite_round_trip_and_perturbation(form, data):
+@given(form=_elementary_forms())
+def test_elementary_rewrite_round_trip(form):
+    # n runs over both parities; the rewrite reads only the first half of the form.
     n, cs, xy = form
-    assert _elementary_rewrite(xy) == {(n - 2 * j, j): c for j, c in enumerate(cs) if c}
-    # The middle coefficient (n even) is its own mirror; any other one breaks symmetry.
-    off_centre = [i for i in range(n + 1) if 2 * i != n]
-    if off_centre:
-        i = data.draw(st.sampled_from(off_centre))
-        xy[i] += data.draw(st.integers(-10**40, 10**40).filter(bool))
-        with pytest.raises(ArithmeticError):
-            _elementary_rewrite(xy)
+    assert _elementary_rewrite(xy[: n // 2 + 1], n) == {
+        (n - 2 * j, j): c for j, c in enumerate(cs) if c}
 
 
 @pytest.mark.parametrize("d", range(1, 13))
