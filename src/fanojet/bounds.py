@@ -9,7 +9,7 @@ irreducible curve has L . C >= k.  Everything here is exact: integers and
 fractions.Fraction only.
 """
 
-from .chern import _at_least, _Record
+from .chern import _at_least, _decimal, _Record
 
 
 class PolarizedInvariants(_Record):
@@ -55,20 +55,19 @@ def check(inv: PolarizedInvariants) -> BoundsVerdict:
     """Test the floors for what the record supplies, and their coupling when it has both."""
     deg_floor = min_degree(inv.n, inv.k)
     sec_floor = min_sections(inv.n, inv.k)
-    failures = []
+    failures = []  # (template, its ints), printed at any size by `_decimal`
     degree_ok = None if inv.deg is None else inv.deg >= deg_floor
     if degree_ok is False:
-        failures.append("degree %d below floor 2^n+k-2 = %d" % (inv.deg, deg_floor))
+        failures.append(("degree %s below floor 2^n+k-2 = %s", inv.deg, deg_floor))
     sections_ok = None if inv.h0 is None else inv.h0 >= sec_floor
     if sections_ok is False:
-        failures.append("h0 %d below floor 2n+k-1 = %d" % (inv.h0, sec_floor))
+        failures.append(("h0 %s below floor 2n+k-1 = %s", inv.h0, sec_floor))
     borderline = not (inv.deg is not None and inv.h0 == sec_floor and inv.deg != deg_floor)
     if not borderline:
-        failures.append(
-            "h0 at the floor 2n+k-1 = %d forces degree 2^n+k-2 = %d, got %d"
-            % (sec_floor, deg_floor, inv.deg)
-        )
-    return BoundsVerdict(degree_ok, sections_ok, borderline, tuple(failures))
+        failures.append(("h0 at the floor 2n+k-1 = %s forces degree 2^n+k-2 = %s, got %s",
+                         sec_floor, deg_floor, inv.deg))
+    return BoundsVerdict(degree_ok, sections_ok, borderline,
+                         tuple(text % tuple(map(_decimal, ints)) for text, *ints in failures))
 
 
 def nefvalue_bound(n: int, k: int) -> "Fraction":

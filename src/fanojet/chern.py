@@ -57,6 +57,15 @@ def _at_least(value, floor: int, what: str, message: str) -> int:
     return value
 
 
+def _decimal(n: int) -> str:
+    """`str(n)` at any size: past Python's int-to-str digit limit, `decimal` prints it."""
+    try:
+        return str(n)
+    except ValueError:  # the limit; Decimal(n) is exact and sets no process-wide state
+        from decimal import Decimal
+        return str(Decimal(n))
+
+
 class _Record:
     """Base of the public records: frozen, slotted, built by position or keyword.
 
@@ -98,8 +107,9 @@ class _Record:
     def __hash__(self):
         return hash(self._key())
 
-    def __repr__(self) -> str:
-        pairs = ("%s=%r" % (name, getattr(self, name)) for name in self._fields)
+    def __repr__(self) -> str:  # an int field prints at any size, as `_decimal` does
+        pairs = ("%s=%s" % (name, _decimal(v) if type(v) is int else repr(v))
+                 for name, v in zip(self._fields, self._key()))
         return "%s(%s)" % (type(self).__qualname__, ", ".join(pairs))
 
     def __reduce__(self):
@@ -154,15 +164,11 @@ class _Combination:
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + (-self)
 
     def __pow__(self, n: int):
         _at_least(n, 0, "exponent", "negative powers are not defined")
@@ -254,7 +260,7 @@ class ChernPolynomial(_Combination):
         parts = []
         for (i, j) in sorted(self._terms, key=lambda k: (-(k[0] + 2 * k[1]), -k[0])):
             c = self._terms[(i, j)]
-            factors = [str(c)] if c != 1 or i == j == 0 else []
+            factors = [_decimal(c)] if c != 1 or i == j == 0 else []
             if i:
                 factors.append("c1" if i == 1 else "c1^%d" % i)
             if j:

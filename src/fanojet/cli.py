@@ -1,20 +1,20 @@
 """Command-line front end: one report per subcommand, printed as JSON or text.
 
 Each `_cmd_*` returns its report and exit code and, like each text view,
-imports only the modules it runs: `chern` for `chern` and input errors, `lines`
-for `lines`, `lines` and `fano` for `fano-ci`, `bounds` for `bounds`, all but
-`schubert` for `catalog` and `adjunction`.  `run` alone prints the report,
-through its text view or, loading `json` only then, as JSON with every integer
-a decimal string (so exact values survive any JSON reader).  Exit codes: 0 on
-success, 1 when a consistency check or any internal step fails or (from
-`main`) stdout was closed by its reader, 2 on input errors (`InputError`).
+imports only the modules it runs (`chern` always, for input errors).  `run`
+alone prints the report, through its text view or, loading `json` only then,
+as JSON with every integer a decimal string (so exact values survive any JSON
+reader).  Both print integers of any size through `chern._decimal` and leave
+Python's int-to-str digit limit, a process-wide setting, alone.  Exit codes: 0
+on success, 1 when a check or any internal step fails or (from `main`) stdout
+was closed by its reader, 2 on input errors, an argv integer past that limit too.
 """
 
 import argparse
 import os
 import sys
 
-from .chern import InputError
+from .chern import InputError, _decimal
 
 GENERICITY_NOTE = (
     "line counts are intersection-theoretic and count a generic member with "
@@ -42,7 +42,7 @@ def _encode(value):
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
     if isinstance(value, int) and not isinstance(value, bool):
-        return str(value)
+        return _decimal(value)
     return value
 
 
@@ -66,18 +66,20 @@ def _chern_fields(poly) -> dict:
 
 def _integer(text: str) -> int:
     """An optional '-' and ASCII digits, blanks around allowed: no '+', '_' or other digits."""
-    if text.isascii() and text.strip().removeprefix("-").isdigit():
-        return int(text)
+    try:
+        if text.isascii() and text.strip().removeprefix("-").isdigit():
+            return int(text)
+    except ValueError as exc:  # past the digit limit: name it rather than echo every digit
+        raise argparse.ArgumentTypeError("invalid int value: %s" % str(exc).split(";")[0]) from exc
     raise argparse.ArgumentTypeError("invalid int value: %r" % text)
 
 
 def _parse_degrees(text: str) -> tuple[int, ...]:
-    if not text.strip():
-        return ()
     try:
-        return tuple(map(_integer, text.split(",")))
-    except argparse.ArgumentTypeError:
-        raise InputError("degrees must be comma-separated integers, got %r" % text)
+        return tuple(map(_integer, text.split(","))) if text.strip() else ()
+    except argparse.ArgumentTypeError as exc:  # only the digit limit's error has a cause
+        raise InputError("degrees: %s" % exc if exc.__cause__ else
+                         "degrees must be comma-separated integers, got %r" % text)
 
 
 def _cmd_lines(args) -> tuple[dict, int]:
@@ -157,21 +159,19 @@ def _cmd_chern(args) -> tuple[dict, int]:
 def _lines_text(inputs: dict, result: dict):
     from .lines import CompleteIntersection, LineCount
     yield "lines on a generic %s" % CompleteIntersection(inputs["ambient"], inputs["degrees"])
-    yield "expected family dimension: %(expected_family_dim)d" % result
+    yield "expected family dimension: %s" % _decimal(result["expected_family_dim"])
     yield "result: %s" % LineCount(**result["line_count"])
-    if result["family_through_point"] is not None:
-        yield "lines through a general point: %(family_through_point)d-dimensional" % result
+    if (point := result["family_through_point"]) is not None:
+        yield "lines through a general point: %s-dimensional" % _decimal(point)
 
 
 def _fano_ci_text(inputs: dict, result: dict):
     from .lines import CompleteIntersection, LineCount
     ci = CompleteIntersection(inputs["ambient"], inputs["degrees"])
     yield "X = %s, dim %d" % (ci, result["dim"])
-    if result["is_fano"]:
-        yield "Fano: yes (sum of degrees %d <= %d)" % (ci.degree_sum, ci.N)
-    else:
-        yield "Fano: no (sum of degrees %d > %d)" % (ci.degree_sum, ci.N)
-    yield "anticanonical degree (-K)^%(dim)d = %(anticanonical_degree)d" % result
+    verdict, relation = ("yes", "<=") if result["is_fano"] else ("no", ">")
+    yield "Fano: %s (sum of degrees %s %s %d)" % (verdict, _decimal(ci.degree_sum), relation, ci.N)
+    yield "anticanonical degree (-K)^%d = %s" % (ci.dim, _decimal(result["anticanonical_degree"]))
     if result["jet_order"] is not None:
         yield "-K is %(jet_order)d-jet ample, not %(not_spanned_order)d-spanned" % result
         if result["formula_extrapolated"]:
@@ -183,13 +183,13 @@ def _fano_ci_text(inputs: dict, result: dict):
     if result["contains_line"] is True:
         yield "contains a line: yes"
     yield "line family: %s" % LineCount(**result["line_family"])
-    if result["family_through_point"] is not None:
-        yield "lines through a general point: %(family_through_point)d-dimensional" % result
+    if (point := result["family_through_point"]) is not None:
+        yield "lines through a general point: %s-dimensional" % _decimal(point)
 
 
 def _bounds_text(inputs: dict, result: dict):
     floors = (inputs["dim"], inputs["order"], result["min_degree"], result["min_sections"])
-    yield "n = %d, k = %d: require L^n >= %d and h0(L) >= %d" % floors
+    yield "n = %s, k = %s: require L^n >= %s and h0(L) >= %s" % tuple(map(_decimal, floors))
     if inputs["degree"] is not None:
         yield "degree %d: %s" % (inputs["degree"], "ok" if result["degree_ok"] else "FAIL")
         if inputs["h0"] is not None:
@@ -292,13 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     """Parse argv, run the subcommand and print its report; return the exit code.
 
-    Python's int-to-str digit limit, a process-wide setting, is lifted while
-    `run` works, so exact integers of any size are parsed and printed; the
-    caller's limit is restored on return.
+    Integers print at any size through `chern._decimal`, and Python's int-to-str
+    digit limit, process-wide, is left as the caller set it: an integer in argv past
+    it exits 2, like any other argv that argparse or the library refuses.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
         report, code = args.func(args)
@@ -317,9 +314,6 @@ def run(argv=None) -> int:
     except (AssertionError, ArithmeticError, ValueError) as exc:
         print("internal check failed: %s" % exc, file=sys.stderr)
         return 1
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
     return code
 
 

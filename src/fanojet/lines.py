@@ -15,7 +15,7 @@ delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan
 from itertools import accumulate
 from math import prod
 
-from .chern import ChernPolynomial, InputError, _at_least, _Record, sym_top_chern
+from .chern import ChernPolynomial, InputError, _at_least, _decimal, _Record, sym_top_chern
 
 
 class CompleteIntersection(_Record):
@@ -48,8 +48,8 @@ class CompleteIntersection(_Record):
 
     def __str__(self) -> str:
         if not self.degrees:
-            return "P^%d" % self.N
-        return "CI(%s) in P^%d" % (",".join(map(str, self.degrees)), self.N)
+            return "P^%s" % _decimal(self.N)
+        return "CI(%s) in P^%s" % (",".join(map(_decimal, self.degrees)), _decimal(self.N))
 
 
 class LineCount(_Record):
@@ -90,9 +90,9 @@ class LineCount(_Record):
 
     def __str__(self) -> str:
         if self.kind == "finite":
-            return "finite count %d" % self.count
+            return "finite count %s" % _decimal(self.count)
         if self.kind == "family":
-            return "%d-dimensional family (nonempty)" % self.family_dim
+            return "%s-dimensional family (nonempty)" % _decimal(self.family_dim)
         return "empty"
 
 
@@ -144,7 +144,7 @@ def count_lines(ci: CompleteIntersection) -> LineCount:
         return LineCount.empty()
     integral = _line_integral(ci)
     if integral <= 0:
-        raise AssertionError("line integral %d is not positive for %s" % (integral, ci))
+        raise AssertionError("line integral %s is not positive for %s" % (_decimal(integral), ci))
     return LineCount.finite(integral) if delta == 0 else LineCount.family(delta)
 
 

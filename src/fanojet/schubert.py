@@ -29,7 +29,7 @@ negation, powers and printing come from the core shared with `chern`.
 from math import comb
 from typing import Mapping, NamedTuple
 
-from .chern import InputError, _at_least, _Combination, _strict_int
+from .chern import InputError, _at_least, _Combination, _decimal, _strict_int
 
 
 class SchubertClass(NamedTuple):
@@ -111,10 +111,11 @@ class CohomologyElement(_Combination):
     only ever reads the coefficient of the point class.
     """
 
-    __slots__ = ("m",)
+    __slots__ = ("_m",)
+    m = property(lambda self: self._m, doc="The ambient's m, read-only: a value never changes.")
 
     def __init__(self, m: int, terms: Mapping | None = None):
-        self.m = _ambient(m)
+        self._m = _ambient(m)
         clean: dict = {}
         if terms:
             for key, value in terms.items():
@@ -160,7 +161,7 @@ class CohomologyElement(_Combination):
 
     def __repr__(self) -> str:
         order = sorted(self._terms, key=lambda k: (k[0] + k[1], -k[0]))
-        body = self._signed_sum("%d*s[%d,%d]" % (self._terms[k], *k) for k in order)
+        body = self._signed_sum("%s*s[%d,%d]" % (_decimal(self._terms[k]), *k) for k in order)
         return "<%s in G(2,%d)>" % (body, self.m)
 
 

@@ -15,11 +15,15 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 STEP = "Console script from outside the checkout"
 # The grep that pins the whole N = 140 line count; the last digit is group 2.
 PIN_140 = re.compile(r"(grep -q '\^result: finite count \d+)(\d)\$' /tmp/l140")
+# The sha256 pins of two reports whose integers pass Python's int-to-str digit limit.
+SHA_PINS = {"fano-ci": "05a7d7d9", "bounds": "9a8bb945"}
 
 
 def step_block(name: str) -> str:
@@ -69,3 +73,12 @@ def test_console_script_step_fails_on_an_altered_pin(tmp_path):
     # It stopped at that grep: the count was written, the next file was not.
     assert (tmp_path / "l140").is_file()
     assert not (tmp_path / "adj32").exists()
+
+
+@pytest.mark.parametrize("prefix", SHA_PINS.values(), ids=SHA_PINS.keys())
+def test_console_script_step_fails_on_an_altered_sha256_pin(tmp_path, prefix):
+    block = step_block(STEP)
+    assert block.count('"%s' % prefix) == 1
+    done = replay(block.replace('"%s' % prefix, '"%s' % prefix[::-1]), tmp_path)
+    assert done.returncode == 1, done.stderr
+    assert not (tmp_path / "b32").exists()  # it stopped at that pin

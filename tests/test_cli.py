@@ -5,6 +5,8 @@ import os
 import re
 import subprocess
 import sys
+import threading
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
@@ -17,6 +19,7 @@ from fanojet import catalog
 from fanojet.bounds import (
     PolarizedInvariants,
     box_product_order,
+    check,
     curve_degree_floor,
     min_degree,
     min_sections,
@@ -371,21 +374,22 @@ def test_subcommands_return_reports_and_print_nothing(capsys, argv):
 
 
 # --- integers past Python's default int-to-str digit limit --------------------
+# The library and `run` print exact integers of any size themselves and never touch
+# that limit, a process-wide setting.  These tests run under the caller's limit; they
+# read printed integers back through Decimal, whose parser the limit does not cover.
+
+get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+needs_limit = pytest.mark.skipif(not get_limit(), reason="no int-to-str digit limit in force")
+HUGE = 10 ** 5000  # past the default limit of 4300 digits
+
 
 def _assert_prints_degree_of_quadric_1400(text_out, json_out):
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        expected = anticanonical_degree(CompleteIntersection(1400, (2,)))
-        assert len(str(expected)) > 4300
-        printed = re.search(r"anticanonical degree \(-K\)\^1399 = (\d+)", text_out)
-        assert int(printed.group(1)) == expected
-        report = json.loads(json_out)
-        assert int(report["result"]["anticanonical_degree"]) == expected
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    expected = anticanonical_degree(CompleteIntersection(1400, (2,)))
+    assert expected.bit_length() > 4300 * 3.33  # more than 4300 decimal digits
+    printed = re.search(r"anticanonical degree \(-K\)\^1399 = (\d+)\n", text_out)
+    assert Decimal(printed.group(1)) == expected
+    report = json.loads(json_out)
+    assert Decimal(report["result"]["anticanonical_degree"]) == expected
 
 
 def test_console_prints_integers_of_any_size():
@@ -416,18 +420,75 @@ def test_console_exits_1_quietly_when_stdout_is_closed():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
-def test_run_prints_integers_of_any_size_and_restores_the_limit(capsys):
-    get_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+def test_run_prints_integers_of_any_size_under_the_callers_limit(capsys, monkeypatch):
     limit = get_limit()
+    seen = []
+    analyze = fanojet.fano.analyze
+    monkeypatch.setattr(fanojet.fano, "analyze", lambda ci: seen.append(get_limit()) or analyze(ci))
     argv = ["fano-ci", "--ambient", "1400", "--degrees", "2"]
     outputs = []
     for extra in ([], ["--json"]):
         assert run(argv + extra) == 0, capsys.readouterr().err
-        assert get_limit() == limit
         outputs.append(capsys.readouterr().out)
+    assert seen == [limit, limit]  # inside the subcommand, the caller's limit
     assert run(["lines", "--ambient", "3", "--degrees", "2,2,2"]) == 2
     assert get_limit() == limit
     _assert_prints_degree_of_quadric_1400(*outputs)
+
+
+@needs_limit
+def test_run_leaves_the_limit_in_force_for_other_threads(capsys):
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(run(["chern", "--sym", "1500"])))
+    worker.start()
+    polls = 0
+    while worker.is_alive():
+        with pytest.raises(ValueError, match="limit"):
+            str(HUGE)
+        polls += 1
+    worker.join()
+    assert codes == [0] and polls > 0
+    assert "top Chern class of Sym^1500 F: " in capsys.readouterr().out
+
+
+# Each argv is cheap to run where the limit is lifted: no line family to integrate.
+@needs_limit
+@pytest.mark.parametrize("argv,prefix", [
+    (["lines", "--ambient", "9" * 4301, "--degrees", "9" * 4302], "error: argument --ambient: "),
+    (["lines", "--ambient", "4", "--degrees", "3," + "9" * 4301], "error: degrees: "),
+    (["fano-ci", "--ambient", "4", "--degrees", "-" + "9" * 4301], "error: degrees: "),
+], ids=["ambient", "degrees", "negative-degree"])
+def test_argv_integer_past_the_limit_exits_2_naming_it(capsys, argv, prefix):
+    if get_limit() != 4300:
+        pytest.skip("the message pins the default limit")
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err) < 1000  # the digits are not echoed
+    tail = err.splitlines()[-1]
+    assert prefix + "invalid int value: Exceeds the limit (4300" in tail, tail
+    assert tail.endswith("value has 4301 digits"), tail
+
+
+def _coefficients_read_back(text: str) -> list:
+    """The positive coefficients that open the printed monomials, as Decimals, in order."""
+    return [Decimal(c) for c in re.findall(r"(?:^| )(\d+)\*", text)]
+
+
+@needs_limit
+def test_library_prints_integers_past_the_limit():
+    poly = sym_top_chern(1500)
+    order = sorted(poly.terms, key=lambda k: (-(k[0] + 2 * k[1]), -k[0]))
+    assert _coefficients_read_back(str(poly)) == [poly.terms[k] for k in order]
+    assert any(abs(c).bit_length() > 4300 * 3.33 for c in poly.terms.values())
+    assert str(LineCount.finite(HUGE)) == "finite count 1" + "0" * 5000
+    assert repr(LineCount.finite(HUGE)) == (
+        "LineCount(kind='finite', count=1%s, family_dim=None, nonempty=None)" % ("0" * 5000))
+    assert str(LineCount.family(HUGE)) == "1" + "0" * 5000 + "-dimensional family (nonempty)"
+    assert str(CompleteIntersection(HUGE, (2,))) == "CI(2) in P^1" + "0" * 5000
+    assert repr(-HUGE * sigma(4, 1)) == "<-1%s*s[1,0] in G(2,4)>" % ("0" * 5000)
+    verdict = check(PolarizedInvariants(20000, 2, 5))
+    assert not verdict.ok and verdict.failures[0].startswith("degree 5 below floor 2^n+k-2 = ")
+    assert Decimal(verdict.failures[0].rsplit(" ", 1)[1]) == 2 ** 20000
 
 
 # --- fuzzed argv: every input ends in an answer or a clean error --------------

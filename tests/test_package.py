@@ -59,8 +59,10 @@ def test_unknown_name_raises_attribute_error():
 
 # --- imports in a fresh interpreter -------------------------------------------
 
-# Costly stdlib modules that a cold start should load only where it uses them.
-WATCHED = ("dataclasses", "fractions", "inspect", "json")
+# Costly stdlib modules that a cold start should load only where it uses them.  `decimal`
+# prints integers past Python's int-to-str digit limit, which no small input reaches;
+# `fractions` imports it too.
+WATCHED = ("dataclasses", "decimal", "fractions", "inspect", "json")
 
 
 def _loaded_in_fresh_interpreter(code: str) -> set:
@@ -102,6 +104,9 @@ def _cli(*argv: str) -> str:
                  CLI_CORE | {"fanojet.lines", "fanojet.fano"}, id="fano-ci"),
     pytest.param(_cli("bounds", "--dim", "3", "--order", "2", "--degree", "8"),
                  CLI_CORE | {"fanojet.bounds"}, id="bounds"),
+    # An integer past the digit limit loads `decimal` to print it, and only then.
+    pytest.param(_cli("bounds", "--dim", "20000", "--order", "2"),
+                 CLI_CORE | {"fanojet.bounds", "decimal"}, id="bounds-past-the-limit"),
     # Only --json loads json; the three reports built from records need no dataclasses.
     pytest.param(_cli("lines", "--ambient", "4", "--degrees", "5", "--json"),
                  CLI_CORE | {"fanojet.lines", "json"}, id="lines-json"),
@@ -113,9 +118,9 @@ def _cli(*argv: str) -> str:
     pytest.param(_cli("catalog", "verify"), ALL_BUT_SCHUBERT, id="catalog-verify"),
     # The nefvalue bound, adjunction case vi, is the one library use of Fraction.
     pytest.param(_cli("adjunction", "--dim", "3", "--order", "2"),
-                 ALL_BUT_SCHUBERT | {"fractions"}, id="adjunction"),
-    pytest.param(_cli("chern", "--sym", "4", "--paper-formula"), CLI_CORE | {"fractions"},
-                 id="chern-paper-formula"),
+                 ALL_BUT_SCHUBERT | {"fractions", "decimal"}, id="adjunction"),
+    pytest.param(_cli("chern", "--sym", "4", "--paper-formula"),
+                 CLI_CORE | {"fractions", "decimal"}, id="chern-paper-formula"),
     # The Schubert ring loads with the first call of lines_class, the one code that needs it.
     pytest.param("from fanojet.lines import CompleteIntersection, lines_class\n"
                  "lines_class(CompleteIntersection(4, (5,)))",

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -232,6 +235,17 @@ def test_cohomology_element_rejects_non_int(build):
 def test_constructor_truncates_and_drops_zeros():
     e = CohomologyElement(4, {(3, 1): 5, (2, 0): 0, (1, 1): 2})
     assert dict(e.terms) == {(1, 1): 2}
+
+
+def test_cohomology_element_is_immutable():
+    x = sigma(4, 1)
+    for name in ("m", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 9)  # `x.m = 9` once worked, and x then printed in G(2,9)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x.m == 4 and repr(x) == "<1*s[1,0] in G(2,4)>"
+    assert copy.deepcopy(x) == x == pickle.loads(pickle.dumps(x))
 
 
 def test_schubert_class_helpers():
