@@ -29,12 +29,12 @@ its e1/e2 rewrite takes that half, dividing it exactly by e1 (additions only)
 and reading each e2^j coefficient off the value at (x, y) = (1, -1).
 
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
-a map {key: nonzero int} with its sum, negation, power and signed-sum printing.
+a map {key: nonzero int} with its sum, negation, square-and-multiply power and signed-sum printing.
 """
 
 from functools import cache
-from itertools import accumulate, repeat
-from math import gcd, prod
+from itertools import accumulate
+from math import gcd
 from types import MappingProxyType
 from typing import Mapping
 
@@ -107,10 +107,15 @@ class _Record:
     def __hash__(self):
         return hash(self._key())
 
-    def __repr__(self) -> str:  # an int field prints at any size, as `_decimal` does
-        pairs = ("%s=%s" % (name, _decimal(v) if type(v) is int else repr(v))
-                 for name, v in zip(self._fields, self._key()))
+    def __repr__(self) -> str:
+        pairs = ("%s=%s" % (name, _Record._repr(v)) for name, v in zip(self._fields, self._key()))
         return "%s(%s)" % (type(self).__qualname__, ", ".join(pairs))
+
+    @staticmethod
+    def _repr(v) -> str:
+        """`repr(v)`, but ints, also inside a tuple, print at any size, as `_decimal` does."""
+        return ("(%s%s)" % (", ".join(map(_Record._repr, v)), "," * (len(v) == 1))
+                if type(v) is tuple else _decimal(v) if type(v) is int else repr(v))
 
     def __reduce__(self):
         return type(self), self._key()
@@ -171,8 +176,13 @@ class _Combination:
         return NotImplemented if other is None else other + (-self)
 
     def __pow__(self, n: int):
+        """Square-and-multiply over the bits of n after the leading 1, from the top: square,
+        and on a 1 multiply by `self`.  At most 2*log2(n) ring products, not n - 1."""
         _at_least(n, 0, "exponent", "negative powers are not defined")
-        return prod(repeat(self, n), start=self._like({(0, 0): 1}))
+        power = self if n else self._like({(0, 0): 1})
+        for bit in bin(n)[3:]:
+            power = power * power * self if bit == "1" else power * power
+        return power
 
     @staticmethod
     def _signed_sum(monomials) -> str:

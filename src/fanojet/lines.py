@@ -12,6 +12,7 @@ is effective, so then I = integral of c1^delta * P > 0, the number of lines at
 delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan(k).
 """
 
+from collections import Counter
 from itertools import accumulate
 from math import prod
 
@@ -106,8 +107,10 @@ def expected_family_dimension(ci: CompleteIntersection) -> int:
 
 
 def _factor_product(ci: CompleteIntersection) -> ChernPolynomial:
-    """P = prod of the c_(d_i+1)(Sym^(d_i) F) in Z[c1, c2]; the unit (every line) when r = 0."""
-    return prod(map(sym_top_chern, ci.degrees), start=ChernPolynomial.one())
+    """P = prod of the c_(d_i+1)(Sym^(d_i) F) in Z[c1, c2]; the unit (every line) when r = 0.
+    Equal degrees d, m of them, enter as one `sym_top_chern(d) ** m`; r = 1 is one * f."""
+    powers = (sym_top_chern(d) ** m for d, m in Counter(ci.degrees).items())
+    return prod(powers, start=ChernPolynomial.one())
 
 
 def lines_class(ci: CompleteIntersection):

@@ -1,5 +1,6 @@
 import re
 from functools import cache
+from itertools import repeat
 from math import comb, prod
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fanojet import chern
 from fanojet.chern import (
     ChernPolynomial,
+    InputError,
     _elementary_rewrite,
     sym_top_chern,
     sym_top_chern_oracle,
@@ -211,6 +213,15 @@ def _assert_checked(x):
 def test_ring_results_pass_the_checks_they_skip(p, q, k, n):
     for x in (p * q, p + q, p - q, -p, p ** n, p * k, k - p, p + k):
         _assert_checked(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=_small_poly)
+def test_power_by_squaring_equals_repeated_products(p):
+    for n in range(18):  # every n of up to 4 bits, then 16 and 17 (5 bits)
+        assert p ** n == prod(repeat(p, n), start=ChernPolynomial.one()), n
+    with pytest.raises(InputError):
+        p ** -1
 
 
 @pytest.mark.parametrize("d", range(1, 61))

@@ -1,4 +1,5 @@
 import re
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from fanojet.lines import (
     CompleteIntersection,
     LineCount,
+    _factor_product,
     _line_integral,
     count_lines,
     expected_family_dimension,
@@ -28,6 +30,14 @@ def test_cubic_surface_class():
     # 9*c2*(2*c1^2 + c2) lands on 27 times the point class of G(2,4)
     assert lines_class(ci(3, 3)) == CohomologyElement(4, {(2, 2): 27})
     assert repr(lines_class(ci(3, 3))) == "<27*s[2,2] in G(2,4)>"
+
+
+@pytest.mark.parametrize("r", range(7))
+def test_grouped_factor_product_equals_the_ungrouped_one(r):
+    for degrees in degree_tuples(r, 4):  # nondecreasing, so equal degrees sit together
+        want = prod(map(sym_top_chern, degrees), start=ChernPolynomial.one())
+        for order in (degrees, degrees[::-1], degrees[1::2] + degrees[::2]):
+            assert _factor_product(ci(2 * r + 2, *order)) == want, order
 
 
 def test_two_quadrics_class_top_coefficient():

@@ -75,6 +75,17 @@ def test_repr_is_unchanged(text, record):
     assert repr(record) == text
 
 
+ZEROS = "0" * 5000  # 10**5000 has 5,001 digits, past Python's int-to-str limit
+
+
+@pytest.mark.parametrize("degrees, text", [
+    ((), "()"), ((3,), "(3,)"), ((2, 2), "(2, 2)"),  # as the tuple's own repr
+    ((10**5000,), "(1%s,)" % ZEROS), ((2, 10**5000), "(2, 1%s)" % ZEROS),
+], ids=["empty", "one", "two", "one-past-the-limit", "two-past-the-limit"])
+def test_repr_prints_ints_in_a_tuple_field_at_any_size(degrees, text):
+    assert repr(CompleteIntersection(4, degrees)) == "CompleteIntersection(N=4, degrees=%s)" % text
+
+
 @RECORDS
 def test_fields_are_frozen(record):
     for name in (*record._fields, "extra"):

@@ -1,10 +1,12 @@
 import copy
 import pickle
+from itertools import repeat
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fanojet.chern import ChernPolynomial
+from fanojet.chern import ChernPolynomial, InputError
 from fanojet.schubert import (
     CohomologyElement,
     SchubertClass,
@@ -170,6 +172,17 @@ def test_mul_commutative_and_associative(data):
     assert mul(x, y) == mul(y, x)
     assert mul(mul(x, y), z) == mul(x, mul(y, z))
     assert mul(x, y + z) == mul(x, y) + mul(x, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_power_by_squaring_equals_repeated_products(data):
+    m = data.draw(st.integers(2, 8))
+    x = data.draw(_element_strategy(m))
+    for n in range(18):  # every n of up to 4 bits, then 16 and 17 (5 bits)
+        assert x ** n == prod(repeat(x, n), start=CohomologyElement.one(m)), n
+    with pytest.raises(InputError):
+        x ** -1
 
 
 @settings(max_examples=60, deadline=None)
