@@ -19,14 +19,16 @@ d^2 (the roots t = 0 and t = d contribute d*y and d*x, whose product is
 d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
 
 Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
-and take two factors per pass, the odd one out first; they share no kernel.
-Each divides a pass's multipliers by their gcd and carries the gcds, with its
-own constant content, as one scale applied at the end.  The oracle multiplies
-root t by root d - t in (x, y) as t(d-t) x^2 + (t^2 + (d-t)^2) xy + t(d-t) y^2,
-two such pairs per pass, after the middle root (d/2)(x + y) for even d; every
-partial product is symmetric, so it keeps only the first half of each list, and
-its e1/e2 rewrite takes that half, dividing it exactly by e1 (additions only)
-and reading each e2^j coefficient off the value at (x, y) = (1, -1).
+and take two factors per pass, the odd one out first; they share no kernel.  The
+closed form divides a pass's multipliers by their gcd and carries the gcds, with
+its constant content, as one scale applied at the end.  The oracle works in
+s = x + y = e1 and w = x - y instead, where root t is (d s - (d-2t) w)/2: root t
+times root d - t is (S - (d-2t)^2 W)/4 with S = d^2 s^2 and W = w^2, monic in S,
+so a pass of two pairs has the multipliers b1 + b2 and b1*b2 and no gcd.  Its
+rewrite turns S into s^2 by one running power of d^2 and W = e1^2 - 4 e2 into e2
+by one Taylor shift (prefix sums), then divides exactly by powers of 4.  A pair
+is the closed form's pair factor in other coordinates, derived from the roots; the
+oracle reads nothing of the closed form: not its code, its boundary d^2 or its gcds.
 
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, square-and-multiply power and signed-sum printing.
@@ -314,56 +316,47 @@ def sym_top_chern_paper(d: int) -> ChernPolynomial:
 def sym_top_chern_oracle(d: int) -> ChernPolynomial:
     """Splitting-principle computation of c_(d+1)(Sym^d F).
 
-    Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots, then rewrites
-    it in e1, e2.  Root t times root d - t is a symmetric quadratic, and two such
-    pairs go per pass as one symmetric quartic, roots 0 and d first if the pairs
-    are odd in number; so only the first half of each partial product is kept, and
-    `_elementary_rewrite` takes that half.  Each quartic loses its content gcd; the
-    gcds, d^2 (roots 0 and d) and d/2 (the middle root) make one scale, applied to
-    the rewrite's output, which is linear.  Pairing only orders the multiplication:
-    the closed form's pair factor t(d-t) c1^2 + (d-2t)^2 c2, its boundary d^2 and
-    its even-d factor (d/2) c1 appear nowhere here.
+    Expands prod_{t=0}^{d} (t*x + (d-t)*y) over the formal roots in s = x + y and
+    w = x - y, where root t is (d s - (d-2t) w)/2, then rewrites it in e1, e2.  Root
+    t times root d - t is (S - (d-2t)^2 W)/4 with S = d^2 s^2 and W = w^2, monic in
+    S; two such pairs go per pass, pair (0, d) first if the pairs are odd in number,
+    and for even d the middle root (d/2) s leaves d/2 as the scale.  A pair is the
+    closed form's pair factor in other coordinates, so b1*b2 is also that route's c2^2
+    multiplier before its gcd; both are derived here from the roots.  The closed form's
+    code, its boundary d^2 and its gcds appear nowhere here.
     """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
-    even, pairs = 1 - d % 2, (d + 1) // 2  # root t times root d - t, for 0 <= t < pairs
-    half = [0, 1] if pairs % 2 else [1]  # roots 0 and d give (d y)(d x) = d^2 xy
-    scale = (d // 2) ** even * (d * d if pairs % 2 else 1)  # d^2, and the middle root's d/2
+    pairs = (d + 1) // 2  # root t times root d - t, for 0 <= t < pairs
+    form = [1, -d * d] if pairs % 2 else [1]  # [coefficient of S^(L-k) W^k], L pairs so far
     for t in range(pairs % 2, pairs, 2):
-        a1, b1 = t * (d - t), t * t + (d - t) ** 2
-        a2, b2 = (t + 1) * (d - t - 1), (t + 1) ** 2 + (d - t - 1) ** 2
-        a, b, c = a1 * a2, a1 * b2 + a2 * b1, 2 * a1 * a2 + b1 * b2
-        g, z = gcd(a, b, c), [0, 0, 0, 0, *half]
-        a, b, c, scale = a // g, b // g, c // g, scale * g
-        z += z[even - 2], z[even - 3]  # the two coefficients past the half, by symmetry
-        half = [a * (p + v) + b * (q + s) + c * r
-                for p, q, r, s, v in zip(z, z[1:], z[2:], z[3:], z[4:])]
-    terms = _elementary_rewrite(half, d + 1)
+        b1, b2 = (d - 2 * t) ** 2, (d - 2 * t - 2) ** 2
+        b, c, z = b1 + b2, b1 * b2, [0, 0, *form, 0, 0]
+        form = [r - b * q + c * p for p, q, r in zip(z, z[1:], z[2:])]
+    terms, scale = _sum_difference_rewrite(form, d), (d // 2) ** (1 - d % 2)
     return ChernPolynomial._like({key: scale * c for key, c in terms.items()})
 
 
-def _elementary_rewrite(half: list, n: int) -> dict:
-    """Rewrite a symmetric binary form in x, y of degree n as a polynomial in e1, e2.
+def _sum_difference_rewrite(form: list, d: int) -> dict:
+    """4^-L * sum_k form[k] S^(L-k) W^k, times e1 if d is even, as {(i, j): c} for c1^i c2^j.
 
-    `half[j]` is the coefficient of x^(n-j) y^j for j <= n // 2, the first half of the
-    form; symmetry gives the rest, so no input is asymmetric.  A symmetric f is e1 times
-    a symmetric form if n is odd, and c e2^m plus e1^2 times one if n = 2m, where
-    c = (-1)^m f(1, -1).  So divide once by e1 for odd n, then read c off
-    f(1, -1) = 2*S + middle (S the alternating sum before the middle) and divide
-    f - c e2^m by e1^2, down to m = 0.  This runs on the half with signs (-1)^j and
-    two leading 0s, where dividing by e1 = x + y is a prefix sum: one double prefix
-    sum H divides by e1^2, and H[-1] - H[-3] = 2*S + middle.  The map is linear, so
-    the oracle applies its one scale to the output.  It uses nothing of the closed form.
+    Here L = len(form) - 1, S = d^2 s^2 and W = w^2, with s = e1 and w^2 = e1^2 - 4 e2.
+    One running power of d^2 turns S^(L-k) into s^(2(L-k)), leaving a polynomial p of
+    degree L in z = W / s^2 = 1 - 4 e2 / s^2.  A Taylor shift, L prefix sums, writes it
+    as sum_j h_j (z - 1)^j, so the coefficient of e1^(2(L-j)) e2^j is (-1)^j h_j / 4^(L-j).
+    Raises ArithmeticError if that division is not exact.
     """
-    signed = [0, 0, *(-c if j % 2 else c for j, c in enumerate(half))]
-    if n % 2:
-        signed = list(accumulate(signed))  # f / e1
-    out = {}
-    for m in range(len(signed) - 3, -1, -1):
-        signed = list(accumulate(accumulate(signed)))  # (f - c e2^m) / e1^2, and one more
-        value = signed.pop() - signed[-2]  # H[-1] - H[-3] = 2*S + middle
-        if value:
-            out[(n - 2 * m, m)] = -value if m % 2 else value
-    return dict(reversed(out.items()))
+    coeffs, power = [], 1  # p's coefficients, z^L first
+    for c in reversed(form):
+        coeffs.append(c * power)
+        power *= d * d
+    out, even = {}, 1 - d % 2
+    for j in range(len(form)):
+        coeffs = list(accumulate(coeffs))  # synthetic division by z - 1; the remainder is h_j
+        h, k = coeffs.pop(), 2 * (len(form) - 1 - j)
+        if h & ((1 << k) - 1):
+            raise ArithmeticError("h_%d is not divisible by 4^%d" % (j, k // 2))
+        out[(k + even, j)] = -(h >> k) if j % 2 else h >> k
+    return out
 
 
 @cache

@@ -14,7 +14,7 @@ delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan
 
 from collections import Counter
 from itertools import accumulate
-from math import prod
+from math import comb, prod
 
 from .chern import ChernPolynomial, InputError, _at_least, _decimal, _Record, sym_top_chern
 
@@ -122,18 +122,21 @@ def lines_class(ci: CompleteIntersection):
 def _line_integral(ci: CompleteIntersection) -> int:
     """I for delta >= 0: the sum of c * Catalan(N-1-j) over the terms c * c1^i c2^j of P.
 
-    Catalan(0..N-1) are rolled by Catalan(k+1) = Catalan(k) * 2(2k+1) / (k+2).  P is
-    a ring value, checked where its factors were built, so its terms are not checked
-    again; a term with j > N-1 has no Catalan number and raises ValueError.
+    Only the Catalan numbers between the smallest and the largest index read are made:
+    one `math.comb` at the smallest, then Catalan(k+1) = Catalan(k) * 2(2k+1) / (k+2).
+    P is a ring value, checked where its factors were built, so its terms are not
+    checked again; a term with j > N-1 has no Catalan number and raises ValueError.
     """
-    catalan = list(accumulate(range(ci.N - 1), lambda c, k: c * 2 * (2 * k + 1) // (k + 2),
-                              initial=1))
-    total = 0
-    for (_, j), c in _factor_product(ci).terms.items():
-        if j >= ci.N:
-            raise ValueError("term c2^%d has no Catalan number in G(2, %d)" % (j, ci.N + 1))
-        total += c * catalan[ci.N - 1 - j]
-    return total
+    terms = _factor_product(ci).terms
+    js = [j for _, j in terms] or [0]  # a zero P, only ever a fault, still sums to 0
+    top = max(js)
+    if top >= ci.N:
+        raise ValueError("term c2^%d has no Catalan number in G(2, %d)" % (top, ci.N + 1))
+    lo = ci.N - 1 - top  # catalan[i] is Catalan(lo + i), so c2^j reads catalan[top - j]
+    catalan = list(accumulate(range(lo, ci.N - 1 - min(js)),
+                              lambda c, k: c * 2 * (2 * k + 1) // (k + 2),
+                              initial=comb(2 * lo, lo) // (lo + 1)))
+    return sum(c * catalan[top - j] for j, c in zip(js, terms.values()))
 
 
 def count_lines(ci: CompleteIntersection) -> LineCount:

@@ -1,13 +1,13 @@
 """Oracles for the test suite.
 
-Most are written against different algorithms than the library: the free
+Each is written against a different algorithm than the library: the free
 two-row Schur ring with the closed Littlewood-Richardson rule, coefficient
-extraction through the bialternant, and direct monomial enumeration for
-Hilbert functions.  The exceptions are `sym_top_roots_in_chern`, which repeats
-the library's own route (root expansion, then leading-term elimination) in
-separate code, and `unpaired_sym_top_chern`, the library's splitting-principle
-route before it paired the roots; the evaluation test in `test_chern.py`
-checks that identity by an independent route.  Nothing here imports library
+extraction through the bialternant, direct monomial enumeration for Hilbert
+functions, and the splitting principle over the roots in (x, y).  The library's
+oracle expands the same root product in s = x + y and w = x - y, and rewrites
+it by a Taylor shift; `sym_top_roots_in_chern` (root by root, then leading-term
+elimination) and `unpaired_sym_top_chern` (root by root, then binomial peeling)
+stay in (x, y), so they check it independently.  Nothing here imports library
 code.
 """
 

@@ -1,6 +1,6 @@
 import re
 from functools import cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import comb, prod
 
 import pytest
@@ -10,7 +10,7 @@ from fanojet import chern
 from fanojet.chern import (
     ChernPolynomial,
     InputError,
-    _elementary_rewrite,
+    _sum_difference_rewrite,
     sym_top_chern,
     sym_top_chern_oracle,
     sym_top_chern_paper,
@@ -102,25 +102,58 @@ def test_canonical_evaluates_to_root_product(d):
 
 
 @st.composite
-def _elementary_forms(draw):
-    """(n, cs, xy): xy is the coefficient list of sum_j cs[j] * e1^(n-2j) * e2^j."""
-    n = draw(st.integers(0, 60))
-    cs = draw(st.lists(st.just(0) | st.integers(-10**40, 10**40),
-                       min_size=n // 2 + 1, max_size=n // 2 + 1))
-    xy = [0] * (n + 1)
-    for j, c in enumerate(cs):
-        for k in range(n - 2 * j + 1):
-            xy[j + k] += c * comb(n - 2 * j, k)
-    return n, cs, xy
+def _sum_difference_forms(draw):
+    """(d, cs, form): form[k] is the coefficient of S^(L-k) W^k in 4^L * sum_j cs[j] *
+    e1^(2(L-j)) e2^j, S = d^2 e1^2 and W = e1^2 - 4 e2; each cs[j] is a multiple of
+    d^(2L), so that the form is integral."""
+    d, L = draw(st.integers(1, 30)), draw(st.integers(0, 30))
+    units = draw(st.lists(st.just(0) | st.integers(-10**40, 10**40),
+                          min_size=L + 1, max_size=L + 1))
+    # e1^2 = S / d^2 and e2 = (S / d^2 - W) / 4, expanded by the binomial theorem
+    form = [(-1) ** k * d ** (2 * k) * sum(u * 4 ** (L - j) * comb(j, k)
+                                           for j, u in enumerate(units)) for k in range(L + 1)]
+    return d, [u * d ** (2 * L) for u in units], form
 
 
 @settings(max_examples=200, deadline=None)
-@given(form=_elementary_forms())
-def test_elementary_rewrite_round_trip(form):
-    # n runs over both parities; the rewrite reads only the first half of the form.
-    n, cs, xy = form
-    assert _elementary_rewrite(xy[: n // 2 + 1], n) == {
-        (n - 2 * j, j): c for j, c in enumerate(cs) if c}
+@given(drawn=_sum_difference_forms())
+def test_sum_difference_rewrite_round_trip(drawn):
+    # d runs over both parities; for even d every e1 exponent gains the middle root's 1.
+    # Zero coefficients stay in the map; `ChernPolynomial._like` drops them.
+    d, cs, form = drawn
+    L, even = len(form) - 1, 1 - d % 2
+    assert _sum_difference_rewrite(form, d) == {
+        (2 * (L - j) + even, j): c for j, c in enumerate(cs)}
+
+
+@pytest.mark.parametrize("form, d", [([1, 0], 1), ([1, 0], 3), ([0, 1], 2), ([1, 0, 0], 1)])
+def test_sum_difference_rewrite_rejects_a_form_outside_z_e1_e2(form, d):
+    # S / 4 = d^2 e1^2 / 4 at odd d, W / 4 = e1^2 / 4 - e2, S^2 / 16 at d = 1.
+    with pytest.raises(ArithmeticError):
+        _sum_difference_rewrite(form, d)
+
+
+def _swap_pair(form: list, b: int, wrong: int) -> list:
+    """form / (S - b W) * (S - wrong W), on [coefficient of S^(L-k) W^k]."""
+    quotient = list(accumulate(form, lambda q, f: f + b * q))
+    assert quotient.pop() == 0, "S - %d W does not divide the form" % b
+    return [q - wrong * p for q, p in zip(quotient + [0], [0] + quotient)]
+
+
+@pytest.mark.parametrize("d", [5, 6, 277])
+def test_wrong_root_in_oracle_trips_the_check(monkeypatch, d):
+    # The fault enters on the oracle side: roots 0 and d carry the w-coefficient d - 2
+    # in place of d, so pair (0, d) reads S - (d-2)^2 W; the product stays in Z[e1, e2].
+    rewrite = chern._sum_difference_rewrite
+    monkeypatch.setattr(chern, "_sum_difference_rewrite",
+                        lambda form, e: rewrite(_swap_pair(form, e * e, (e - 2) ** 2), e))
+    message = "closed form and splitting-principle expansion disagree at d=%d" % d
+    sym_top_chern.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(message)):
+            sym_top_chern(d)
+    finally:
+        sym_top_chern.cache_clear()
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -129,8 +162,9 @@ def test_printed_variant_scalar_relation(d):
     assert sym_top_chern_paper(d) * (d * d) == sym_top_chern(d) * ((d + 1) ** 2)
 
 
-@pytest.mark.parametrize("d", range(1, 13))
+@pytest.mark.parametrize("d", range(1, 301))
 def test_all_coefficients_positive(d):
+    # Pins what a size bound can rest on: the largest coefficient is at most P(1, 1).
     assert all(c > 0 for c in sym_top_chern(d).terms.values())
 
 

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -80,7 +84,7 @@ def test_classical_counts(N, degrees, count):
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6, 60, 100, 140])
 def test_hypersurface_counts_match_bialternant(N):
-    # up to the benchmark's sizes, where count_lines rolls Catalan numbers up to k = N - 1
+    # up to the benchmark's sizes, where count_lines rolls Catalan numbers up to k = N - 2
     d = 2 * N - 3
     got = count_lines(ci(N, d))
     assert got.kind == "finite"
@@ -322,3 +326,20 @@ def test_line_count_factories():
     assert LineCount.finite(0).is_nonempty is False
     assert LineCount.finite(5).is_nonempty is True
     assert LineCount.family(2).is_nonempty is True
+
+
+# --- memory at a large ambient -------------------------------------------------------
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_line_integral_at_a_large_ambient_peaks_small():
+    # Only the Catalan numbers that P's terms read are made, here Catalan(N-3..N-2), not the
+    # ~220 MiB of all N of them.  The child prints its own peak RSS (VmHWM, in kB): unlike
+    # ru_maxrss, it does not carry over the parent's peak through fork and exec.
+    code = ("from fanojet.cli import run; run(['lines', '--ambient', '40000', '--degrees', '3']); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "result: 79994-dimensional family (nonempty)\n" in done.stdout, done.stdout[:200]
+    assert int(done.stdout.split()[-1]) < 30 * 1024

@@ -1,10 +1,13 @@
-"""The `fanojet` package surface: its public names, and what importing it loads."""
+"""The `fanojet` package surface: its public names, what importing it loads, and its
+promise that the public functions are safe to call from several threads."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+import threading
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -136,3 +139,40 @@ def test_submodule_attribute_in_a_fresh_interpreter():
         "import fanojet\nassert str(fanojet.chern.sym_top_chern(2)) == '4*c1*c2'"
     )
     assert loaded == {"fanojet", "fanojet.chern"}
+
+
+def test_mixed_pool_on_four_threads_equals_a_serial_run():
+    # Cold Sym^d classes (so the oracle runs), a line count, the catalog check and
+    # `analyze`, dealt to four threads that start together and switch every 1 us.  Threads
+    # that miss sym_top_chern's cache together, here on the cubic's class, each compute
+    # and check it, since functools.cache does not lock; the values are equal.
+    from fanojet import CompleteIntersection, analyze, count_lines, sym_top_chern, verify_all
+    pool = [*(partial(sym_top_chern, d) for d in range(150, 160)),
+            partial(count_lines, CompleteIntersection(60, (3,) * 29)), verify_all,
+            partial(analyze, CompleteIntersection(4, (3,))),
+            partial(analyze, CompleteIntersection(60, (3, 3, 3, 3)))]
+    sym_top_chern.cache_clear()
+    serial = [call() for call in pool]
+    sym_top_chern.cache_clear()
+    threaded, start = [None] * len(pool), threading.Barrier(4, timeout=60)
+
+    def worker(first: int):  # pool[first], pool[first + 4], ...
+        start.wait()
+        for k in range(first, len(pool), 4):
+            try:
+                threaded[k] = pool[k]()
+            except Exception as error:  # kept, so that the comparison below shows it
+                threaded[k] = error
+
+    workers = [threading.Thread(target=worker, args=(first,)) for first in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in workers:
+            thread.start()
+        for thread in workers:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in workers)
+    assert threaded == serial
