@@ -6,8 +6,9 @@ Ten threefold entries (L = -K_X) plus the two Mukai pairs in dimension 4 and
 invariant was derived independently and is re-verified by `verify_all`: the
 order chain, each recomputed quantity (Riemann-Roch, complete-intersection
 degree, h0 and orders, box-product orders) as a row (quantity, stored,
-recomputed), then the floors, and the double cover as the one entry 2-very
-ample but not 2-jet ample.
+recomputed), then the floors, the double cover as the one entry 2-very ample
+but not 2-jet ample, and the complete-intersection entries as all the Mukai
+complete intersections there are.
 
 The adjunction outcome table records which special structures can absorb a
 pair (n, k) before the second reduction exists.  Each outcome is plain data,
@@ -16,9 +17,10 @@ paired with the integer rule on (n, k) that its `constraints` text states
 """
 
 from functools import reduce
+from itertools import combinations_with_replacement
 
 from .bounds import PolarizedInvariants, box_product_order, check, nefvalue_bound
-from .chern import InputError, _at_least, _Record, _strict_int
+from .chern import InputError, _at_least, _decimal, _Record, _strict_int
 from .fano import _line_order, degree_of_twist, h0_of_twist
 from .lines import CompleteIntersection, count_lines
 
@@ -327,7 +329,11 @@ def verify_all(catalog=None) -> CatalogVerification:
     each of the three orders; and box-product orders; then the floors.  A row that
     differs fails as "<quantity> mismatch (stored S, recomputed R)".  Globally, exactly
     one entry (the double cover) may have k_jet < k_very_ample; its flag follows from
-    that.  Accepts an alternative entry sequence so that fault injection is testable.  A
+    that.  The complete-intersection entries' (N, degrees, twist) are exactly the Mukai
+    pairs of `_mukai_complete_intersections`, and each missing or extra one fails by its CI;
+    the six other threefolds rest on the Iskovskikh-Mori-Mukai classification (Iskovskikh,
+    Prokhorov, Fano varieties, 1999), which cannot be recomputed here.  Accepts an
+    alternative entry sequence so that fault injection is testable.  A
     stored value that a library function rejects, by InputError (k < 2, twist < 0, ...)
     or TypeError (a complete-intersection entry with no twist), ends its entry as
     "<id>: outside the library's domain: <message>".
@@ -347,7 +353,21 @@ def verify_all(catalog=None) -> CatalogVerification:
             "jet-deficiency structure violated: exactly the double-cover entry "
             "must have k_jet < k_very_ample, got %r" % deficient
         )
+    stored = {(e.ci.N, tuple(sorted(e.ci.degrees)), e.twist) for e in rows if e.ci is not None}
+    failures += sorted("complete-intersection coverage violated: %s with O(%s) is %s"
+                       % (CompleteIntersection(N, degrees), _decimal(t),
+                          "extra" if (N, degrees, t) in stored else "missing")
+                       for N, degrees, t in stored ^ _mukai_complete_intersections())
     return CatalogVerification(len(rows), tuple(failures))
+
+
+def _mukai_complete_intersections() -> set:
+    """Every (N, degrees, t) with (CI(degrees) in P^N, O(t)) a Mukai pair: n = N - r >= 3,
+    each degree >= 2 (a degree 1 repeats X in a smaller P^N), t >= 2 and index
+    N + 1 - sum(d) = (n - 2)t.  As 2(n - 2) <= index <= n + 1 - r, n <= 5 - r and N <= 5."""
+    return {(N, ds, t) for N in range(3, 6) for r in range(N - 2)
+            for ds in combinations_with_replacement(range(2, N + 2), r)
+            for t in range(2, N + 2) if N + 1 - sum(ds) == (N - r - 2) * t}
 
 
 _EXPORTED = ("id", "dim", "description", "ambient", "polarization", "k_jet", "k_very_ample",

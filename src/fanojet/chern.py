@@ -32,6 +32,7 @@ oracle reads nothing of the closed form: not its code, its boundary d^2 or its g
 
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, square-and-multiply power and signed-sum printing.
+A `ChernPolynomial` square takes each cross term once, doubled: about half a product.
 """
 
 from functools import cache
@@ -179,7 +180,8 @@ class _Combination:
 
     def __pow__(self, n: int):
         """Square-and-multiply over the bits of n after the leading 1, from the top: square,
-        and on a 1 multiply by `self`.  At most 2*log2(n) ring products, not n - 1."""
+        and on a 1 multiply by `self`.  At most 2*log2(n) ring products, not n - 1; each
+        square is `power * power`, which a ring may compute in about half a product."""
         _at_least(n, 0, "exponent", "negative powers are not defined")
         power = self if n else self._like({(0, 0): 1})
         for bit in bin(n)[3:]:
@@ -257,6 +259,16 @@ class ChernPolynomial(_Combination):
         if other is None:
             return NotImplemented
         acc: dict = {}
+        if other is self:  # a square: each cross term once, doubled, over the upper triangle
+            items = list(self._terms.items())
+            for n, ((i1, j1), c1) in enumerate(items):
+                key = (2 * i1, 2 * j1)
+                acc[key] = acc.get(key, 0) + c1 * c1
+                c1 += c1
+                for (i2, j2), c2 in items[n + 1:]:
+                    key = (i1 + i2, j1 + j2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            return ChernPolynomial._like(acc)
         for (i1, j1), c1 in self._terms.items():
             for (i2, j2), c2 in other._terms.items():
                 key = (i1 + i2, j1 + j2)

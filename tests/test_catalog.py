@@ -5,6 +5,7 @@ import pytest
 
 from fanojet.bounds import PolarizedInvariants, box_product_order, check
 from fanojet.catalog import (
+    _mukai_complete_intersections,
     adjunction_cases,
     catalog_as_dicts,
     entries,
@@ -171,12 +172,48 @@ def test_verify_all_catches_h0_fault():
          "fano3-9: order chain violated: k_jet=0, k_very_ample=2, k_spanned=2"),
         ("fano3-9", {"k_jet": -1},
          "fano3-9: order chain violated: k_jet=-1, k_very_ample=2, k_spanned=2"),
+        # A changed twist or ci leaves the enumerated Mukai pairs: coverage names both CIs.
+        ("fano3-7", {"twist": 3},
+         "fano3-7: complete-intersection degree mismatch (stored 24, recomputed 81)\n"
+         "fano3-7: complete-intersection h0 mismatch (stored 15, recomputed 34)\n"
+         "fano3-7: jet order mismatch (stored 2, recomputed 3)\n"
+         "fano3-7: very-ample order mismatch (stored 2, recomputed 3)\n"
+         "fano3-7: spanned order mismatch (stored 2, recomputed 3)\n"
+         "complete-intersection coverage violated: CI(3) in P^4 with O(2) is missing\n"
+         "complete-intersection coverage violated: CI(3) in P^4 with O(3) is extra"),
+        ("mukai-n4", {"ci": CompleteIntersection(5, (3,))},
+         "mukai-n4: complete-intersection degree mismatch (stored 32, recomputed 48)\n"
+         "mukai-n4: complete-intersection h0 mismatch (stored 20, recomputed 21)\n"
+         "complete-intersection coverage violated: CI(2) in P^5 with O(2) is missing\n"
+         "complete-intersection coverage violated: CI(3) in P^5 with O(2) is extra"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
     """`failure` lists every expected failure, one a line, in `verify_all`'s order."""
     broken = [e._replace(**changes) if e.id == entry_id else e for e in entries()]
     assert verify_all(broken).failures == tuple(failure.split("\n"))
+
+
+@pytest.mark.parametrize("dropped", [e.id for e in entries() if e.ci is not None])
+def test_a_dropped_complete_intersection_is_reported_by_its_ci(dropped):
+    (e,) = entries(entry_id=dropped)
+    rows = [x for x in entries() if x is not e]
+    assert verify_all(rows).failures == (
+        "complete-intersection coverage violated: %s with O(%d) is missing" % (e.ci, e.twist),)
+
+
+def test_mukai_complete_intersections_are_the_six_entries_and_no_more():
+    stored = {(e.ci.N, e.ci.degrees, e.twist) for e in entries() if e.ci is not None}
+    assert _mukai_complete_intersections() == stored and len(stored) == 6
+    # Past N = 5 no (N, r, t) admits degrees >= 2 summing to N + 1 - (n - 2)t, n = N - r.
+    admitted = set()
+    for N in range(3, 60):
+        for r in range(N - 2):
+            for t in range(2, N + 2):
+                rest = N + 1 - (N - r - 2) * t
+                if rest == 0 if r == 0 else rest >= 2 * r:
+                    admitted.add((N, r, t))
+    assert admitted == {(N, len(ds), t) for N, ds, t in stored}
 
 
 # Faults that no check sees yet: the stored spanned order of an entry that is not a

@@ -258,6 +258,23 @@ def test_power_by_squaring_equals_repeated_products(p):
         p ** -1
 
 
+# Wider than `_small_poly`: exponents to 12 and coefficients to 10^40, so that many cross
+# terms share a key, in up to 12 terms; the first branch gives the empty and one-term ones.
+_wide_poly = st.one_of(*(st.dictionaries(st.tuples(st.integers(0, 12), st.integers(0, 12)),
+                                         st.integers(-10**40, 10**40), max_size=size)
+                         for size in (1, 12))).map(ChernPolynomial)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_wide_poly)
+def test_square_equals_the_product_with_an_equal_copy(p):
+    # `p * p` takes the square's triangle loop; an equal copy is another object, so
+    # `p * copy` takes the general double loop.
+    square = p * p
+    assert square == p * ChernPolynomial(dict(p.terms))
+    _assert_checked(square)
+
+
 @pytest.mark.parametrize("d", range(1, 61))
 def test_sym_top_classes_pass_the_checks_they_skip(d):
     _assert_checked(chern._paired_product(d, d * d))

@@ -23,11 +23,12 @@ STEP = "Console script from outside the checkout"
 # The grep that pins the whole N = 140 line count; the last digit is group 2.
 PIN_140 = re.compile(r"(grep -q '\^result: finite count \d+)(\d)\$' /tmp/l140")
 # The sha256 pins of two reports whose integers pass Python's int-to-str digit limit,
-# of a line count over 49 equal degrees, whose class is one power of one factor, and of
-# two Sym^d classes, each checked against the oracle: d = 600, and the prime d = 557,
-# where every gcd of the closed form's passes is 1.
+# of a line count over 49 equal degrees, whose class is one power of one factor, of one
+# over twelve 12s and six 6s, whose class squares both factors, and of two Sym^d
+# classes, each checked against the oracle: d = 600, and the prime d = 557, where every
+# gcd of the closed form's passes is 1.
 SHA_PINS = {"fano-ci": "05a7d7d9", "bounds": "9a8bb945", "lines": "50ab37cc",
-            "chern-600": "a21ad9cc", "chern-557": "acdcfcae"}
+            "lines-mixed": "44182244", "chern-600": "a21ad9cc", "chern-557": "acdcfcae"}
 
 
 def step_block(name: str) -> str:

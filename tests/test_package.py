@@ -142,12 +142,15 @@ def test_submodule_attribute_in_a_fresh_interpreter():
 
 
 def test_mixed_pool_on_four_threads_equals_a_serial_run():
-    # Cold Sym^d classes (so the oracle runs), a line count, the catalog check and
+    # Cold Sym^d classes (so the oracle runs), line counts, the catalog check and
     # `analyze`, dealt to four threads that start together and switch every 1 us.  Threads
     # that miss sym_top_chern's cache together, here on the cubic's class, each compute
-    # and check it, since functools.cache does not lock; the values are equal.
+    # and check it, since functools.cache does not lock; the values are equal.  The count
+    # over twelve 12s and six 6s (delta = 0) squares both classes; all four threads start
+    # on it, so that they run the square's loop on equal operands at the same time.
     from fanojet import CompleteIntersection, analyze, count_lines, sym_top_chern, verify_all
-    pool = [*(partial(sym_top_chern, d) for d in range(150, 160)),
+    mixed = partial(count_lines, CompleteIntersection(100, (12,) * 12 + (6,) * 6))
+    pool = [mixed, mixed, mixed, mixed, *(partial(sym_top_chern, d) for d in range(150, 160)),
             partial(count_lines, CompleteIntersection(60, (3,) * 29)), verify_all,
             partial(analyze, CompleteIntersection(4, (3,))),
             partial(analyze, CompleteIntersection(60, (3, 3, 3, 3)))]
