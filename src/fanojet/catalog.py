@@ -333,12 +333,17 @@ def verify_all(catalog=None) -> CatalogVerification:
     pairs of `_mukai_complete_intersections`, and each missing or extra one fails by its CI;
     the six other threefolds rest on the Iskovskikh-Mori-Mukai classification (Iskovskikh,
     Prokhorov, Fano varieties, 1999), which cannot be recomputed here.  Accepts an
-    alternative entry sequence so that fault injection is testable.  A
-    stored value that a library function rejects, by InputError (k < 2, twist < 0, ...)
-    or TypeError (a complete-intersection entry with no twist), ends its entry as
-    "<id>: outside the library's domain: <message>".
+    alternative entry sequence so that fault injection is testable.  Faults in an
+    entry's stored values are reported: a value that a library function rejects, by
+    InputError (k < 2, twist < 0, ...) or TypeError (a complete-intersection entry with no
+    twist), ends its entry as "<id>: outside the library's domain: <message>".  A row that
+    is not a `CatalogEntry` is the caller's type error: it raises TypeError, naming the
+    row, before any check runs.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
+    for e in rows:
+        if not isinstance(e, CatalogEntry):
+            raise TypeError("catalog row must be a CatalogEntry, got %r" % (e,))
     failures = []
     for e in rows:
         try:

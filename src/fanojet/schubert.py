@@ -29,7 +29,7 @@ negation, powers and printing come from the core shared with `chern`.
 from math import comb
 from typing import Mapping, NamedTuple
 
-from .chern import InputError, _at_least, _Combination, _decimal, _strict_int
+from .chern import ChernPolynomial, InputError, _at_least, _Combination, _decimal, _strict_int
 
 
 class SchubertClass(NamedTuple):
@@ -182,17 +182,21 @@ def mul(x: CohomologyElement, y: CohomologyElement) -> CohomologyElement:
 
 def integrate(x: CohomologyElement) -> int:
     """Pairing with the fundamental class: the coefficient of sigma(m-2, m-2)."""
+    if not isinstance(x, CohomologyElement):
+        raise TypeError("expected a CohomologyElement, got %r" % (x,))
     top = x.m - 2
     return x._terms.get((top, top), 0)
 
 
-def from_chern_poly(p, m: int) -> CohomologyElement:
+def from_chern_poly(p: ChernPolynomial, m: int) -> CohomologyElement:
     """Evaluate a polynomial in c1, c2 of the tautological quotient bundle.
 
     Substitutes c1 -> sigma(1, 0) and c2 -> sigma(1, 1), applying the whole
-    polynomial to the unit class by Horner in c1.  `p` is anything exposing a
-    `terms` mapping {(i, j): coefficient} for c1^i c2^j.
+    polynomial to the unit class by Horner in c1.  `p` must be a `ChernPolynomial`,
+    whose terms were checked when it was built.
     """
+    if not isinstance(p, ChernPolynomial):
+        raise TypeError("expected a ChernPolynomial, got %r" % (p,))
     return CohomologyElement(m, _act(_ambient(m), p.terms, {(0, 0): 1}))
 
 

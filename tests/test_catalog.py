@@ -291,6 +291,15 @@ def test_catalog_entry_rejects_a_ci_of_another_type_and_empty_box_factors():
     assert listed == flag and hash(listed) == hash(flag) and listed.box_factors == (2, 2)
 
 
+def test_verify_all_raises_on_a_row_that_is_not_an_entry(monkeypatch):
+    """A caller's type error, named before any check runs (once AttributeError on .k_jet)."""
+    def no_check(e):
+        raise AssertionError("checked %s" % e.id)
+    monkeypatch.setattr("fanojet.catalog._entry_checks", no_check)
+    with pytest.raises(TypeError, match="^catalog row must be a CatalogEntry, got 1$"):
+        verify_all(entries() + [1])
+
+
 def _domain_faults(e):
     """Stored values outside a library function's domain, as `_replace` changes of `e`."""
     faults = [{"degree": 0}, {"n": 0}, {"h0": -1}, {"k_very_ample": 0}, {"k_very_ample": 1}]

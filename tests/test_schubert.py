@@ -2,6 +2,7 @@ import copy
 import pickle
 from itertools import repeat
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -238,6 +239,12 @@ def test_small_ambient_rejected():
         lambda: mul(sigma(5, 1), 2),
         lambda: mul(2, sigma(5, 1)),                             # once AttributeError
         lambda: sigma(5, 1).coefficient(1.0, 0),                 # once 1
+        # Only a ChernPolynomial, whose terms were checked when it was built, is read:
+        # the first once lost its c1^-1 term, the second read True as 1.
+        lambda: from_chern_poly(SimpleNamespace(terms={(-1, 0): 5, (0, 0): 1}), 5),
+        lambda: from_chern_poly(SimpleNamespace(terms={(0, 0): True}), 5),
+        lambda: from_chern_poly(5, 4),                           # once AttributeError
+        lambda: integrate(5),                                    # once AttributeError
     ],
 )
 def test_cohomology_element_rejects_non_int(build):
