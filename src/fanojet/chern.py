@@ -33,6 +33,8 @@ oracle reads nothing of the closed form: not its code, its boundary d^2 or its g
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, square-and-multiply power and signed-sum printing.
 A `ChernPolynomial` square takes each cross term once, doubled: about half a product.
+A product packs each key (i, j) into the int i << b | j, so a key sum is one int add;
+b is worked out per product, from the operands' largest j, since exponents have no bound.
 """
 
 from functools import cache
@@ -201,9 +203,9 @@ class ChernPolynomial(_Combination):
     integrates over G(2, N+1) (`count_lines`), `schubert` expands in its basis.
     Exponents and coefficients must be ints; a float or a bool raises TypeError.
     That is checked once, when a value is built from caller data: by this
-    constructor and by `_coerce` for an operand.  Sums, products, powers and the
-    Sym^d top classes are built by `_like`, which only drops zero coefficients,
-    since ints combined by + and * are ints again.
+    constructor and by `_coerce` for an operand.  Sums, powers and the Sym^d top
+    classes are built by `_like`, and products by `*` as `_like` builds values: they
+    only drop zero coefficients, since ints combined by + and * are ints again.
     """
 
     __slots__ = ()
@@ -258,22 +260,33 @@ class ChernPolynomial(_Combination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        # Each key (i, j) is packed as the int i << b | j, so a key sum is one int add.  b is
+        # the bit length of the operands' largest j added, so no j sum carries into i; it is
+        # worked out per product, since exponents have no bound.
         acc: dict = {}
         if other is self:  # a square: each cross term once, doubled, over the upper triangle
-            items = list(self._terms.items())
-            for n, ((i1, j1), c1) in enumerate(items):
-                key = (2 * i1, 2 * j1)
+            b = (2 * max((j for _, j in self._terms), default=0)).bit_length()
+            items = [(i << b | j, c) for (i, j), c in self._terms.items()]
+            for n, (k1, c1) in enumerate(items):
+                key = k1 + k1
                 acc[key] = acc.get(key, 0) + c1 * c1
                 c1 += c1
-                for (i2, j2), c2 in items[n + 1:]:
-                    key = (i1 + i2, j1 + j2)
+                for k2, c2 in items[n + 1:]:
+                    key = k1 + k2
                     acc[key] = acc.get(key, 0) + c1 * c2
-            return ChernPolynomial._like(acc)
-        for (i1, j1), c1 in self._terms.items():
-            for (i2, j2), c2 in other._terms.items():
-                key = (i1 + i2, j1 + j2)
-                acc[key] = acc.get(key, 0) + c1 * c2
-        return ChernPolynomial._like(acc)
+        else:
+            b = (max((j for _, j in self._terms), default=0)
+                 + max((j for _, j in other._terms), default=0)).bit_length()
+            right = [(i << b | j, c) for (i, j), c in other._terms.items()]
+            for (i, j), c1 in self._terms.items():
+                k1 = i << b | j
+                for k2, c2 in right:
+                    key = k1 + k2
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        mask = (1 << b) - 1  # unpacked in one pass that also drops zeros, as `_like` does
+        value = object.__new__(ChernPolynomial)
+        value._terms = {(k >> b, k & mask): c for k, c in acc.items() if c}
+        return value
 
     __rmul__ = __mul__
 

@@ -108,9 +108,10 @@ def expected_family_dimension(ci: CompleteIntersection) -> int:
 
 def _factor_product(ci: CompleteIntersection) -> ChernPolynomial:
     """P = prod of the c_(d_i+1)(Sym^(d_i) F) in Z[c1, c2]; the unit (every line) when r = 0.
-    Equal degrees d, m of them, enter as one `sym_top_chern(d) ** m`; r = 1 is one * f."""
-    powers = (sym_top_chern(d) ** m for d, m in Counter(ci.degrees).items())
-    return prod(powers, start=ChernPolynomial.one())
+    Equal degrees d, m of them, enter as one `sym_top_chern(d) ** m`.  The product starts
+    from the first power, so r = 1 returns the cached class itself, with no product."""
+    powers = [sym_top_chern(d) ** m for d, m in Counter(ci.degrees).items()]
+    return prod(powers[1:], start=powers[0]) if powers else ChernPolynomial.one()
 
 
 def lines_class(ci: CompleteIntersection):

@@ -275,6 +275,59 @@ def test_square_equals_the_product_with_an_equal_copy(p):
     _assert_checked(square)
 
 
+def _tuple_keyed_product(p, q) -> dict:
+    """p * q as a map, with each key sum built as an (i, j) tuple: no packing."""
+    acc: dict = {}
+    for (i1, j1), c1 in p.terms.items():
+        for (i2, j2), c2 in q.terms.items():
+            key = (i1 + i2, j1 + j2)
+            acc[key] = acc.get(key, 0) + c1 * c2
+    return {key: c for key, c in acc.items() if c}
+
+
+@st.composite
+def _boundary_operands(draw):
+    """(p, q) whose largest c2 exponents add to exactly 2^k - 1 or 2^k, for k in 1..12 or
+    65..130.  Exponents sit at a top, one below it, 0 or 1, next to c1 exponents up to 3 * 2^k,
+    and the coefficients are +-1, +-2, so that cross terms often share a key and cancel."""
+    k = draw(st.integers(1, 12) | st.integers(65, 130))
+    total = draw(st.sampled_from([2 ** k - 1, 2 ** k]))
+    tops = draw(st.sampled_from([0, total // 2]) | st.integers(0, total))
+    coefficient = st.sampled_from([-2, -1, 1, 2])
+
+    def operand(top):
+        i = st.sampled_from([0, 1, 2 ** k, 3 * 2 ** k])
+        j = st.sampled_from(sorted({top, max(top - 1, 0), 0, min(top, 1)}))
+        terms = draw(st.dictionaries(st.tuples(i, j), coefficient, max_size=6))
+        return ChernPolynomial({**terms, (draw(i), top): draw(coefficient)})
+
+    return operand(tops), operand(total - tops)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operands=_boundary_operands(), n=st.integers(0, 4))
+def test_packed_keys_at_the_bit_boundary_equal_tuple_keys(operands, n):
+    # The packed key i << b | j must leave no carry from a j sum into i: b is worked out
+    # from the two operands' largest j added, and for a square from twice its own.
+    p, q = operands
+    assert dict((p * q).terms) == _tuple_keyed_product(p, q)
+    assert dict((p * p).terms) == _tuple_keyed_product(p, p)
+    power = ChernPolynomial.one()
+    for _ in range(n):
+        power = ChernPolynomial(_tuple_keyed_product(power, p))
+    assert p ** n == power
+    for x in (p * q, p * p, p ** n):
+        _assert_checked(x)
+
+
+@pytest.mark.parametrize("total", [1, 2, 2 ** 5 - 1, 2 ** 5, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1])
+def test_cross_terms_at_the_bit_boundary_cancel(total):
+    # (c2^a + c1 c2^b)(c2^a - c1 c2^b) = c2^2a - c1^2 c2^2b: the cross terms cancel on c1 c2^total.
+    a, b = total // 2, total - total // 2
+    p, q = poly({(0, a): 1, (1, b): 1}), poly({(0, a): 1, (1, b): -1})
+    assert dict((p * q).terms) == _tuple_keyed_product(p, q) == {(0, 2 * a): 1, (2, 2 * b): -1}
+
+
 @pytest.mark.parametrize("d", range(1, 61))
 def test_sym_top_classes_pass_the_checks_they_skip(d):
     _assert_checked(chern._paired_product(d, d * d))

@@ -44,6 +44,11 @@ def test_grouped_factor_product_equals_the_ungrouped_one(r):
             assert _factor_product(ci(2 * r + 2, *order)) == want, order
 
 
+@pytest.mark.parametrize("d", [1, 3, 12])
+def test_one_factor_product_is_the_cached_class_itself(d):
+    assert _factor_product(ci(d + 2, d)) is sym_top_chern(d)
+
+
 def test_two_quadrics_class_top_coefficient():
     assert lines_class(ci(4, 2, 2)).coefficient(3, 3) == 16
 

@@ -146,10 +146,12 @@ def test_mixed_pool_on_four_threads_equals_a_serial_run():
     # `analyze`, dealt to four threads that start together and switch every 1 us.  Threads
     # that miss sym_top_chern's cache together, here on the cubic's class, each compute
     # and check it, since functools.cache does not lock; the values are equal.  The count
-    # over twelve 12s and six 6s (delta = 0) squares both classes; all four threads start
-    # on it, so that they run the square's loop on equal operands at the same time.
+    # over 36 12s and 18 6s (delta = 0) squares both classes and multiplies by each; all
+    # four threads start on it, so that they run both product loops on equal operands at
+    # the same time.  It is three times the length at which a shared accumulator in one
+    # of those loops was still missed in most runs.
     from fanojet import CompleteIntersection, analyze, count_lines, sym_top_chern, verify_all
-    mixed = partial(count_lines, CompleteIntersection(100, (12,) * 12 + (6,) * 6))
+    mixed = partial(count_lines, CompleteIntersection(298, (12,) * 36 + (6,) * 18))
     pool = [mixed, mixed, mixed, mixed, *(partial(sym_top_chern, d) for d in range(150, 160)),
             partial(count_lines, CompleteIntersection(60, (3,) * 29)), verify_all,
             partial(analyze, CompleteIntersection(4, (3,))),
