@@ -33,11 +33,15 @@ oracle reads nothing of the closed form: not its code, its boundary d^2 or its g
 `ChernPolynomial` and `schubert.CohomologyElement` share one core, `_Combination`:
 a map {key: nonzero int} with its sum, negation, square-and-multiply power and signed-sum printing.
 A `ChernPolynomial` square takes each cross term once, doubled: about half a product.
-A product packs each key (i, j) into the int i << b | j, so a key sum is one int add;
-b is worked out per product, from the operands' largest j, since exponents have no bound.
+Products run on packed keys, in `_product_of_powers`: each key (i, j) becomes the int
+i << b | j, so a key sum is one int add, and b is worked out per call from the product's
+largest j, since exponents have no bound.  `*` is one such call on its two operands.  A line
+count is one call on all its classes (`lines._factor_product`): each class is packed once,
+with one b for the whole count, and the product is unpacked once.
 """
 
-from functools import cache
+import operator
+from functools import cache, reduce
 from itertools import accumulate
 from math import gcd
 from types import MappingProxyType
@@ -181,19 +185,26 @@ class _Combination:
         return NotImplemented if other is None else other + (-self)
 
     def __pow__(self, n: int):
-        """Square-and-multiply over the bits of n after the leading 1, from the top: square,
-        and on a 1 multiply by `self`.  At most 2*log2(n) ring products, not n - 1; each
-        square is `power * power`, which a ring may compute in about half a product."""
+        """self ** n by `_square_and_multiply`; the unit when n = 0."""
         _at_least(n, 0, "exponent", "negative powers are not defined")
-        power = self if n else self._like({(0, 0): 1})
-        for bit in bin(n)[3:]:
-            power = power * power * self if bit == "1" else power * power
-        return power
+        return _square_and_multiply(self, n, operator.mul) if n else self._like({(0, 0): 1})
 
     @staticmethod
     def _signed_sum(monomials) -> str:
         """Printed monomials joined into a signed sum; "0" if there are none."""
         return " + ".join(monomials).replace("+ -", "- ") or "0"
+
+
+def _square_and_multiply(base, n: int, mul):
+    """base ** n for n >= 1, over the bits of n after the leading 1, from the top: square,
+    and on a 1 multiply by `base`.  At most 2*log2(n) products, not n - 1; each square is
+    `mul(power, power)`, which a ring may compute in about half a product."""
+    power = base
+    for bit in bin(n)[3:]:
+        power = mul(power, power)
+        if bit == "1":
+            power = mul(power, base)
+    return power
 
 
 class ChernPolynomial(_Combination):
@@ -260,33 +271,7 @@ class ChernPolynomial(_Combination):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        # Each key (i, j) is packed as the int i << b | j, so a key sum is one int add.  b is
-        # the bit length of the operands' largest j added, so no j sum carries into i; it is
-        # worked out per product, since exponents have no bound.
-        acc: dict = {}
-        if other is self:  # a square: each cross term once, doubled, over the upper triangle
-            b = (2 * max((j for _, j in self._terms), default=0)).bit_length()
-            items = [(i << b | j, c) for (i, j), c in self._terms.items()]
-            for n, (k1, c1) in enumerate(items):
-                key = k1 + k1
-                acc[key] = acc.get(key, 0) + c1 * c1
-                c1 += c1
-                for k2, c2 in items[n + 1:]:
-                    key = k1 + k2
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        else:
-            b = (max((j for _, j in self._terms), default=0)
-                 + max((j for _, j in other._terms), default=0)).bit_length()
-            right = [(i << b | j, c) for (i, j), c in other._terms.items()]
-            for (i, j), c1 in self._terms.items():
-                k1 = i << b | j
-                for k2, c2 in right:
-                    key = k1 + k2
-                    acc[key] = acc.get(key, 0) + c1 * c2
-        mask = (1 << b) - 1  # unpacked in one pass that also drops zeros, as `_like` does
-        value = object.__new__(ChernPolynomial)
-        value._terms = {(k >> b, k & mask): c for k, c in acc.items() if c}
-        return value
+        return _product_of_powers([(self, 2)] if other is self else [(self, 1), (other, 1)])
 
     __rmul__ = __mul__
 
@@ -307,6 +292,45 @@ class ChernPolynomial(_Combination):
 
     def __repr__(self) -> str:
         return "ChernPolynomial(%s)" % self
+
+
+def _packed_mul(x: dict, y: dict) -> dict:
+    """x * y on packed keys, zero coefficients kept.  A square (`y is x`) takes each cross
+    term once, doubled, over the upper triangle: about half the coefficient products."""
+    acc: dict = {}
+    if y is x:
+        items = list(x.items())
+        for n, (k1, c1) in enumerate(items):
+            key = k1 + k1
+            acc[key] = acc.get(key, 0) + c1 * c1
+            c1 += c1
+            for k2, c2 in items[n + 1:]:
+                key = k1 + k2
+                acc[key] = acc.get(key, 0) + c1 * c2
+    else:
+        right = list(y.items())
+        for k1, c1 in x.items():
+            for k2, c2 in right:
+                key = k1 + k2
+                acc[key] = acc.get(key, 0) + c1 * c2
+    return acc
+
+
+def _product_of_powers(powers) -> ChernPolynomial:
+    """The product of the p ** m over the pairs (p, m) in `powers`, each m >= 1.
+
+    Each p is packed once, each key (i, j) as the int i << b | j, so a key sum is one int
+    add.  b is the bit length of the sum of m * (largest j of p), the product's largest j,
+    so no partial product carries a j into i; it is worked out per call, since exponents
+    have no bound.  Powers go by square-and-multiply; they and the products between them
+    stay packed, and the result is unpacked once, zeros dropped as `_like` does.
+    """
+    b = sum(m * max((j for _, j in p._terms), default=0) for p, m in powers).bit_length()
+    packed = [({i << b | j: c for (i, j), c in p._terms.items()}, m) for p, m in powers]
+    product = reduce(_packed_mul, [_square_and_multiply(x, m, _packed_mul) for x, m in packed])
+    mask, value = (1 << b) - 1, object.__new__(ChernPolynomial)
+    value._terms = {(k >> b, k & mask): c for k, c in product.items() if c}
+    return value
 
 
 def _paired_product(d: int, boundary: int) -> ChernPolynomial:

@@ -14,9 +14,10 @@ delta = 0.  `count_lines` reads I off P by integral c1^(2k) c2^(N-1-k) = Catalan
 
 from collections import Counter
 from itertools import accumulate
-from math import comb, prod
+from math import comb
 
-from .chern import ChernPolynomial, InputError, _at_least, _decimal, _Record, sym_top_chern
+from .chern import (ChernPolynomial, InputError, _at_least, _decimal, _product_of_powers, _Record,
+                    sym_top_chern)
 
 
 class CompleteIntersection(_Record):
@@ -107,11 +108,13 @@ def expected_family_dimension(ci: CompleteIntersection) -> int:
 
 
 def _factor_product(ci: CompleteIntersection) -> ChernPolynomial:
-    """P = prod of the c_(d_i+1)(Sym^(d_i) F) in Z[c1, c2]; the unit (every line) when r = 0.
-    Equal degrees d, m of them, enter as one `sym_top_chern(d) ** m`.  The product starts
-    from the first power, so r = 1 returns the cached class itself, with no product."""
-    powers = [sym_top_chern(d) ** m for d, m in Counter(ci.degrees).items()]
-    return prod(powers[1:], start=powers[0]) if powers else ChernPolynomial.one()
+    """P = prod of the c_(d_i+1)(Sym^(d_i) F) in Z[c1, c2]; the unit (every line) when r = 0,
+    and the cached class itself, with no product, when r = 1.  Otherwise equal degrees d,
+    m of them, enter as one power, and `_product_of_powers` packs each distinct degree's
+    class once, with one shift for the whole count, and unpacks P once."""
+    if ci.r <= 1:
+        return sym_top_chern(ci.degrees[0]) if ci.degrees else ChernPolynomial.one()
+    return _product_of_powers([(sym_top_chern(d), m) for d, m in Counter(ci.degrees).items()])
 
 
 def lines_class(ci: CompleteIntersection):

@@ -21,7 +21,8 @@ from fanojet.lines import (
 from fanojet.chern import ChernPolynomial, InputError, sym_top_chern
 from fanojet.schubert import CohomologyElement, from_chern_poly, integrate, mul, sigma
 
-from oracles import bialternant_line_count, degree_tuples, free_line_integral
+from oracles import (bialternant_line_count, degree_tuples, free_from_chern, free_line_integral,
+                     free_mul)
 
 
 def ci(N, *degrees):
@@ -47,6 +48,23 @@ def test_grouped_factor_product_equals_the_ungrouped_one(r):
 @pytest.mark.parametrize("d", [1, 3, 12])
 def test_one_factor_product_is_the_cached_class_itself(d):
     assert _factor_product(ci(d + 2, d)) is sym_top_chern(d)
+
+
+@pytest.mark.parametrize("twos, threes", [(7, 0), (1, 3), (5, 1), (8, 0), (0, 4), (2, 3), (9, 0),
+                                          (1, 4), (3, 3), (15, 0), (1, 7), (16, 0), (0, 8),
+                                          (4, 6), (17, 0), (1, 8), (7, 5)])
+def test_factor_product_at_its_shift_boundaries(twos, threes):
+    # sym_top_chern(2) = 4 c1 c2 and sym_top_chern(3) = 18 c1^2 c2 + 9 c2^2, so P's largest
+    # c2 exponent is twos + 2 * threes: 7, 8, 9, 15, 16 or 17, around 2^3 and 2^4, where the
+    # packed product's one shift gains a bit.  A tuple-keyed product in the free two-row
+    # ring, isomorphic to Z[c1, c2] by c1 -> s[1,0] and c2 -> s[1,1], is the reference.
+    degrees = (2,) * twos + (3,) * threes
+    want = free_from_chern({(0, 0): 1})
+    for d in degrees:
+        want = free_mul(want, free_from_chern(dict(sym_top_chern(d).terms)))
+    got = _factor_product(ci(2 * len(degrees) + 2, *degrees))
+    assert max(j for _, j in got.terms) == twos + 2 * threes
+    assert free_from_chern(dict(got.terms)) == want
 
 
 def test_two_quadrics_class_top_coefficient():
