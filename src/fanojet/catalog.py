@@ -13,7 +13,8 @@ complete intersections there are.
 The adjunction outcome table records which special structures can absorb a
 pair (n, k) before the second reduction exists.  Each outcome is plain data,
 paired with the integer rule on (n, k) that its `constraints` text states
-(Mukai: the nefvalue bound); side conditions are text.
+(Mukai: the nefvalue bound; a special model: its dimension and order, read off
+`CompleteIntersection.dim` and the line rule); side conditions are text.
 """
 
 from functools import reduce
@@ -393,31 +394,35 @@ class AdjunctionOutcome(_Record):
     __slots__ = {"case_id": "str", "constraints": "str", "description": "str"}
 
 
-def _model(dim: int, order: int):
-    """Admits (n, k) when n is the model's dimension and k is at most its polarization's order."""
+def _model(ci: CompleteIntersection, t: int, extra: int = 0):
+    """Admits (n, k) when n = ci.dim + extra (1 for a fibre or a divisor, one dimension below
+    X) and k is at most the order of O(t) on ci, read once off its lines by `_line_order`."""
+    dim, order = ci.dim + extra, _line_order(count_lines(ci), t)
     return lambda n, k: n == dim and k <= order
 
 
-# Each outcome with the rule that admits it.  Cases v, vii and 2 take a fibre or a
-# divisor as the model, one dimension below X.
+# Each outcome with the rule that admits it.  A model row names its complete intersection and
+# twist, and reads its dimension and order off `CompleteIntersection.dim` and the line rule;
+# cases v, vii and 2 take a fibre or a divisor as the model.
 _ADJUNCTION = (
     (AdjunctionOutcome("i", "n = 3, k = 2",
                        "(P3, O(2)); here the first reduction carries no information"),
-     _model(3, 2)),
-    (AdjunctionOutcome("ii", "n = 3, 2 <= k <= 3", "(P3, O(3))"), _model(3, 3)),
-    (AdjunctionOutcome("iii", "n = 4, k = 2", "(P4, O(2))"), _model(4, 2)),
+     _model(CompleteIntersection(3), 2)),
+    (AdjunctionOutcome("ii", "n = 3, 2 <= k <= 3", "(P3, O(3))"),
+     _model(CompleteIntersection(3), 3)),
+    (AdjunctionOutcome("iii", "n = 4, k = 2", "(P4, O(2))"), _model(CompleteIntersection(4), 2)),
     (AdjunctionOutcome("iv", "n = 3, k = 2", "(Q, O(2)) for a hyperquadric threefold Q in P4"),
-     _model(3, 2)),
+     _model(CompleteIntersection(4, (2,)), 2)),
     (AdjunctionOutcome("v", "n = 3, k = 2", "fibration over a smooth curve with fibers "
                        "(P2, O(2)), 2K + 3L pulled back from the base"),
-     _model(2 + 1, 2)),
+     _model(CompleteIntersection(2), 2, 1)),
     (AdjunctionOutcome("vi", "n in {4, 5} with k = 2, or n = 3 with 2 <= k <= 4",
                        "Mukai pair: K = -(n-2)L; the nefvalue bound (n+1)/k >= n-2 "
                        "forces these (n, k)"),
      lambda n, k: nefvalue_bound(n, k) >= n - 2),
     (AdjunctionOutcome("vii", "n = 4, k = 2", "Del Pezzo fibration over a smooth curve with "
                        "general fibers (P3, O(2))"),
-     _model(3 + 1, 2)),
+     _model(CompleteIntersection(3), 2, 1)),
     (AdjunctionOutcome("reduction", "any n >= 3, k >= 2", "first reduction is an isomorphism "
                        "and the second reduction (Z, D) exists"),
      lambda n, k: True),
@@ -425,7 +430,7 @@ _ADJUNCTION = (
      lambda n, k: n >= 4),
     (AdjunctionOutcome("2", "n = 3, k = 2", "second reduction may contract divisors D = P2 "
                        "with L|_D = O(2) and O_D(D) = O(-1); Z stays smooth"),
-     _model(2 + 1, 2)),
+     _model(CompleteIntersection(2), 2, 1)),
 )
 
 

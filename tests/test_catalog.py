@@ -5,6 +5,7 @@ import pytest
 
 from fanojet.bounds import PolarizedInvariants, box_product_order, check
 from fanojet.catalog import (
+    _model,
     _mukai_complete_intersections,
     adjunction_cases,
     catalog_as_dicts,
@@ -413,6 +414,14 @@ def test_adjunction_cases_are_built_once():
     first, again = adjunction_cases(3, 2), adjunction_cases(3, 2)
     assert first == again and all(a is b for a, b in zip(first, again))
     assert adjunction_cases(6, 2)[0] is first[5]  # "reduction"
+
+
+def test_a_model_reads_its_dimension_and_order_off_the_complete_intersection():
+    # models outside the table: the quadric threefold with O(3), and P2 with O(2) as a fibre
+    quadric = _model(CompleteIntersection(4, (2,)), 3)
+    assert quadric(3, 3) and not quadric(3, 4)
+    fibre = _model(CompleteIntersection(2), 2, 1)
+    assert fibre(3, 2) and not fibre(4, 2) and not fibre(3, 3)
 
 
 def test_adjunction_antitone_in_k():

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from functools import partial
 from pathlib import Path
 
@@ -26,6 +25,7 @@ PUBLIC_NAMES = [
     "sym_top_chern", "sym_top_chern_oracle", "sym_top_chern_paper", "verify_all",
 ]
 MODULES = ("schubert", "chern", "lines", "fano", "bounds", "catalog")
+SRC = str(Path(fanojet.__file__).resolve().parents[1])  # a child interpreter's PYTHONPATH
 
 
 def test_public_names_are_pinned():
@@ -77,9 +77,8 @@ def _loaded_in_fresh_interpreter(code: str) -> set:
         "\nimport json"
         "\nprint(json.dumps(loaded))" % (WATCHED,)
     )
-    src = str(Path(fanojet.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
     assert done.returncode == 0, done.stderr
     return set(json.loads(done.stdout.splitlines()[-1]))
 
@@ -142,7 +141,7 @@ def test_submodule_attribute_in_a_fresh_interpreter():
     assert loaded == {"fanojet", "fanojet.chern"}
 
 
-def test_mixed_pool_on_four_threads_equals_a_serial_run():
+def _mixed_pool_on_four_threads():
     # Cold Sym^d classes (so the oracle runs), line counts, the catalog check and
     # `analyze`, dealt to four threads that start together and switch every 1 us.  Threads
     # that miss sym_top_chern's cache together, here on the cubic's class, each compute
@@ -162,7 +161,7 @@ def test_mixed_pool_on_four_threads_equals_a_serial_run():
     sym_top_chern.cache_clear()
     serial = [call() for call in pool]
     sym_top_chern.cache_clear()
-    threaded, start = [None] * len(pool), threading.Barrier(4, timeout=60)
+    threaded, start = [None] * len(pool), threading.Barrier(4)
 
     def worker(first: int):  # pool[first], pool[first + 4], ...
         start.wait()
@@ -172,18 +171,24 @@ def test_mixed_pool_on_four_threads_equals_a_serial_run():
             except Exception as error:  # kept, so that the comparison below shows it
                 threaded[k] = error
 
-    # Daemon workers joined against one shared deadline: a fault that makes a thread's work
-    # grow fails the test within the deadline, and the interpreter does not wait for them.
-    workers = [threading.Thread(target=worker, args=(first,), daemon=True) for first in range(4)]
-    interval = sys.getswitchinterval()
+    workers = [threading.Thread(target=worker, args=(first,)) for first in range(4)]
     sys.setswitchinterval(1e-6)
-    try:
-        for thread in workers:
-            thread.start()
-        deadline = time.monotonic() + 30
-        for thread in workers:
-            thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in workers)
-    assert threaded == serial
+    for thread in workers:
+        thread.start()
+    for thread in workers:
+        thread.join()
+    differ = {k: value if isinstance(value, Exception) else "differs from the serial run"
+              for k, value in enumerate(threaded) if value != serial[k]}
+    assert not differ, differ
+
+
+def test_mixed_pool_on_four_threads_equals_a_serial_run():
+    # The pool runs in a child interpreter that is killed at the deadline: a fault that
+    # stalls a worker fails the test there, and leaves no thread behind in this process.
+    done = subprocess.run([sys.executable, __file__], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+if __name__ == "__main__":
+    _mixed_pool_on_four_threads()
