@@ -3,11 +3,12 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
 from decimal import Decimal
-from importlib import resources
+from importlib import metadata, resources
 from pathlib import Path
 
 import jsonschema
@@ -392,29 +393,58 @@ def _assert_prints_degree_of_quadric_1400(text_out, json_out):
     assert Decimal(report["result"]["anticanonical_degree"]) == expected
 
 
-def test_console_prints_integers_of_any_size():
+@pytest.fixture
+def console(tmp_path):
+    """Run the `fanojet` command from an empty working directory.
+
+    Once the package is installed (`pip install -e .`), that is the console script
+    on PATH, run without PYTHONPATH, and it must exist; otherwise it is
+    `python -m fanojet.cli` on the checkout's sources.
+    """
+    env = dict(os.environ)
+    try:
+        metadata.distribution("fanojet")
+    except metadata.PackageNotFoundError:
+        command = [sys.executable, "-m", "fanojet.cli"]
+        env["PYTHONPATH"] = str(Path(fanojet.__file__).resolve().parents[1])
+    else:
+        script = shutil.which("fanojet")
+        assert script, "the fanojet distribution is installed but no fanojet script is on PATH"
+        command = [script]
+        env.pop("PYTHONPATH", None)
+
+    def call(argv, stdout=subprocess.PIPE):
+        return subprocess.run(command + argv, cwd=tmp_path, env=env, stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    return call
+
+
+@pytest.mark.parametrize("argv, code, needle", [
+    ("lines --ambient 4 --degrees 5 --json", 0, '"count": "2875"'),
+    ("catalog verify", 0, "verified 12 catalog entries: all consistent"),
+    ("lines --ambient 3 --degrees 2,2,2", 2, None),
+    ("fano-ci --ambient 4 --degrees 0", 2, None),
+    ("catalog verify --k 3", 2, None),
+    ("lines --ambient 4 --degrees 5_0", 2, None),
+])
+def test_console_script(console, argv, code, needle):
+    done = console(argv.split())
+    assert done.returncode == code, done.stderr
+    assert needle in done.stdout if needle else done.stdout == ""
+
+
+def test_console_prints_integers_of_any_size(console):
     argv = ["fano-ci", "--ambient", "1400", "--degrees", "2"]
-    src = str(Path(fanojet.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    runs = [
-        subprocess.run([sys.executable, "-m", "fanojet.cli"] + argv + extra,
-                       capture_output=True, text=True, env=env, timeout=120)
-        for extra in ([], ["--json"])
-    ]
+    runs = [console(argv + extra) for extra in ([], ["--json"])]
     assert [r.returncode for r in runs] == [0, 0], [r.stderr for r in runs]
     _assert_prints_degree_of_quadric_1400(runs[0].stdout, runs[1].stdout)
 
 
-def test_console_exits_1_quietly_when_stdout_is_closed():
-    src = str(Path(fanojet.__file__).resolve().parents[1])
+def test_console_exits_1_quietly_when_stdout_is_closed(console):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "fanojet.cli", "lines", "--ambient", "4", "--degrees", "5"],
-            stdout=write_end, stderr=subprocess.PIPE, text=True,
-            env=dict(os.environ, PYTHONPATH=src), timeout=120,
-        )
+        proc = console(["chern", "--sym", "600"], stdout=write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (1, "")
