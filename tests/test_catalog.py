@@ -99,45 +99,6 @@ def test_verify_all_passes_on_shipped_data():
     assert outcome.ok
 
 
-def test_verify_all_catches_degree_fault():
-    rows = entries()
-    broken = [
-        e._replace(degree=23) if e.id == "fano3-7" else e for e in rows
-    ]
-    outcome = verify_all(broken)
-    assert not outcome.ok
-    assert any("fano3-7" in f and "degree mismatch" in f for f in outcome.failures)
-
-
-def test_verify_all_catches_jet_flag_fault():
-    rows = entries()
-    broken = [
-        e._replace(k_jet=2) if e.id == "fano3-9" else e for e in rows
-    ]
-    outcome = verify_all(broken)
-    assert not outcome.ok
-    assert any("jet-deficiency" in f for f in outcome.failures)
-
-
-def test_verify_all_catches_order_chain_fault():
-    rows = entries()
-    broken = [
-        e._replace(k_jet=3) if e.id == "fano3-7" else e for e in rows
-    ]
-    outcome = verify_all(broken)
-    assert not outcome.ok
-    assert any("order chain" in f or "jet order mismatch" in f for f in outcome.failures)
-
-
-def test_verify_all_catches_h0_fault():
-    rows = entries()
-    broken = [
-        e._replace(h0=99) if e.id == "mukai-n4" else e for e in rows
-    ]
-    outcome = verify_all(broken)
-    assert any("mukai-n4" in f and "h0 mismatch" in f for f in outcome.failures)
-
-
 @pytest.mark.parametrize(
     "entry_id, changes, failure",
     [
@@ -187,6 +148,26 @@ def test_verify_all_catches_h0_fault():
          "mukai-n4: complete-intersection h0 mismatch (stored 20, recomputed 21)\n"
          "complete-intersection coverage violated: CI(2) in P^5 with O(2) is missing\n"
          "complete-intersection coverage violated: CI(3) in P^5 with O(2) is extra"),
+        ("fano3-7", {"degree": 23},
+         "fano3-7: Riemann-Roch degree mismatch (stored 23, recomputed 24)\n"
+         "fano3-7: complete-intersection degree mismatch (stored 23, recomputed 24)"),
+        ("fano3-9", {"k_jet": 2},
+         "jet-deficiency structure violated: exactly the double-cover entry must have "
+         "k_jet < k_very_ample, got []"),
+        ("fano3-7", {"k_jet": 3},
+         "fano3-7: order chain violated: k_jet=3, k_very_ample=2, k_spanned=2\n"
+         "fano3-7: jet order mismatch (stored 3, recomputed 2)"),
+        ("mukai-n4", {"h0": 99},
+         "mukai-n4: Riemann-Roch degree mismatch (stored 32, recomputed 190)\n"
+         "mukai-n4: complete-intersection h0 mismatch (stored 99, recomputed 20)"),
+        # Stored integers past Python's int-to-str digit limit print in full, also in the
+        # order chain's message, which is built when the chain holds.
+        pytest.param(
+            "fano3-7", {"degree": 10 ** 5000, "k_spanned": 10 ** 5000},
+            "fano3-7: Riemann-Roch degree mismatch (stored 1{0}, recomputed 24)\n"
+            "fano3-7: complete-intersection degree mismatch (stored 1{0}, recomputed 24)\n"
+            "fano3-7: spanned order mismatch (stored 1{0}, recomputed 2)".format("0" * 5000),
+            id="fano3-7-past-the-digit-limit"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
@@ -350,6 +331,10 @@ def test_catalog_export_uses_decimal_strings():
     assert by_id["fano3-5"]["degree"] == "64"
     assert by_id["fano3-5"]["h0"] == "35"
     assert by_id["fano3-9"]["flag"] == "2-very ample but not 2-jet ample"
+    # an integer past Python's int-to-str digit limit exports in full
+    (cubic,) = entries(entry_id="fano3-7")
+    (row,) = catalog_as_dicts([cubic._replace(degree=10 ** 5000)])
+    assert row["degree"] == "1" + "0" * 5000 and json.loads(json.dumps(row)) == row
 
 
 # --- adjunction outcomes ----------------------------------------------------------------
