@@ -80,6 +80,7 @@ REPORTS = [
     ["chern", "--sym", "1", "--paper-formula"],
     ["chern", "--sym", "4", "--paper-formula"],
     ["chern", "--sym", "5", "--paper-formula"],
+    ["lines", "--ambient", " 5 ", "--degrees", "3, 3"],  # blanks around integers are allowed
 ]
 
 INPUT_ERRORS = [
@@ -92,6 +93,19 @@ INPUT_ERRORS = [
     ["bounds", "--dim", "3", "--order", "2", "--h0", "9"],
     ["adjunction", "--dim", "2", "--order", "2"],
     ["chern", "--sym", "0"],
+    ["fano-ci", "--ambient", "4", "--degrees", "0"],
+    ["bounds", "--dim", "3", "--order", "2", "--degree", "8", "--h0", "-1"],  # once FAIL
+    ["catalog", "verify", "--k", "3"],  # once ignored, exit 0
+    ["catalog", "verify", "--dim", "9"],
+    ["frobnicate"],
+    ["lines", "--ambient", "4"],  # --degrees is required
+    # CLI integers are strict: ASCII digits with an optional minus, nothing else.
+    ["lines", "--ambient", "4", "--degrees", "5_0"],  # once CI(50) in P^4, exit 0
+    ["lines", "--ambient", "1_0", "--degrees", "3,+4"],  # once CI(3,4) in P^10
+    ["lines", "--ambient", "10", "--degrees", "3,+4"],
+    ["chern", "--sym", "\u0663"],  # Arabic-Indic 3, once --sym 3
+    ["bounds", "--dim", "3", "--order", "+2"],
+    ["chern", "--sym", "-1"],  # parsed, then refused by the library
 ]
 
 HELP = [["--help"]] + [[sub, "--help"] for sub in SUBCOMMANDS]
@@ -144,6 +158,12 @@ def golden():
 def test_cli_output_matches_golden(monkeypatch, golden, argv):
     monkeypatch.setenv("COLUMNS", COLUMNS)
     assert capture(argv) == golden[tuple(argv)]
+
+
+def test_golden_holds_exactly_the_corpus():
+    # A case whose argv left the corpus, or a repeated case, fails here, not silently.
+    argvs = [tuple(case["argv"]) for case in json.loads(GOLDEN.read_text())]
+    assert sorted(argvs) == sorted(set(map(tuple, CORPUS)))
 
 
 @pytest.mark.parametrize("argv, pin", PINS.values(), ids=PINS.keys())
