@@ -138,8 +138,8 @@ def test_nefvalue_pins_down_the_mukai_range():
     # pairs K = -(n-2)L have nefvalue n-2, so they need (n+1)/k >= n-2
     admissible = [
         (n, k)
-        for n in range(3, 11)
-        for k in range(2, 11)
+        for n in range(3, 13)
+        for k in range(2, 13)
         if nefvalue_bound(n, k) >= n - 2
     ]
     assert admissible == [(3, 2), (3, 3), (3, 4), (4, 2), (5, 2)]

@@ -117,6 +117,11 @@ def test_plucker_degree_examples():
 @pytest.mark.parametrize("m", [*range(2, 13), 30, 60])
 def test_plucker_degree_is_catalan(m):
     assert plucker_degree(m) == catalan(m - 2)
+    # brute force: sigma1^(2(m-2)) in the free ring, truncated, read at the point class
+    power = {(0, 0): 1}
+    for _ in range(2 * (m - 2)):
+        power = free_mul(power, {(1, 0): 1})
+    assert free_point_coefficient(truncate(power, m), m) == plucker_degree(m)
 
 
 # --- ring axioms and duality ------------------------------------------------
