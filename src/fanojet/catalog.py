@@ -2,13 +2,13 @@
 higher-dimensional Mukai pairs carrying a k-very ample polarization, k >= 2.
 
 Ten threefold entries (L = -K_X) plus the two Mukai pairs in dimension 4 and
-5 (L with K = -(n-2)L): `source` follows from n, `flag` from the orders.  Each
-invariant was derived independently and is re-verified by `verify_all`: the
-order chain, each recomputed quantity (Riemann-Roch, complete-intersection
-degree, h0 and orders, box-product orders) as a row (quantity, stored,
-recomputed), then the floors, the double cover as the one entry 2-very ample
-but not 2-jet ample, and the complete-intersection entries as all the Mukai
-complete intersections there are.
+5 (L with K = -(n-2)L): `source` follows from n, `flag` from the orders, and L,
+for the nine entries presented in products of projective spaces, by adjunction.
+Each invariant was derived independently and is re-verified by `verify_all`: the
+order chain, each recomputed quantity (Riemann-Roch, dimension, complete-intersection
+degree, h0 and orders, box-product orders) as a row (quantity, stored, recomputed),
+then the floors, the double cover as the one entry 2-very ample but not 2-jet
+ample, and the complete-intersection entries as all the Mukai ones there are.
 
 The adjunction outcome table records which special structures can absorb a
 pair (n, k) before the second reduction exists.  Each outcome is plain data,
@@ -29,35 +29,31 @@ from .lines import CompleteIntersection, count_lines
 class CatalogEntry(_Record):
     """One classified pair (X, L) with independently derived invariants.
 
-    `ci`/`twist` are set when X is a complete intersection (or all of P^N) and
-    L = O_X(twist), enabling recomputation of degree and h0; `box_factors` holds the
-    factor orders when L is an external product, stored as a tuple.  `source` and `flag`
-    follow from n and the orders.  Each int field (`twist` when set, each box factor) is
-    checked once: a float, str, None or bool raises TypeError ("degree must be an int,
-    got 24.0"), as does a `ci` that is not a CompleteIntersection; an empty `box_factors`
-    raises InputError.
+    `presentation = (dims, equations)`, when set, says that X is cut out of
+    P^dims[0] x P^dims[1] x ... by hypersurfaces of the listed multidegrees; L is not
+    stored but follows by adjunction, K = -(n-2)L.  `source` and `flag` follow from n and
+    the orders.  Each int field, and each integer of the presentation, is checked once: a
+    float, str, None or bool raises TypeError ("degree must be an int, got 24.0"), as does
+    a presentation that is not a pair of tuples with each equation as long as `dims`.
     """
 
     __slots__ = {
         "id": "str", "n": "int", "description": "str", "ambient": "str", "polarization": "str",
         "k_jet": "int", "k_very_ample": "int", "k_spanned": "int", "degree": "int", "h0": "int",
-        "derivation": "str", "ci": "CompleteIntersection | None", "twist": "int | None",
-        "box_factors": "tuple[int, ...] | None",
+        "derivation": "str", "presentation": "(dims, equations), tuples of ints, or None",
     }
-    _defaults = {"ci": None, "twist": None, "box_factors": None}
+    _defaults = {"presentation": None}
 
     def __post_init__(self):
-        for name in ("n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0", "twist"):
-            if name != "twist" or self.twist is not None:
-                _strict_int(getattr(self, name), name)
-        if not isinstance(self.ci, (CompleteIntersection, type(None))):
-            raise TypeError("ci must be a CompleteIntersection, got %r" % (self.ci,))
-        if self.box_factors is not None:
-            object.__setattr__(self, "box_factors", tuple(self.box_factors))
-            if not self.box_factors:
-                raise InputError("box_factors must name at least one factor")
-            for factor in self.box_factors:
-                _strict_int(factor, "each box factor")
+        for name in ("n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0"):
+            _strict_int(getattr(self, name), name)
+        if (p := self.presentation) is not None:
+            if not (type(p) is tuple and len(p) == 2 and type(p[0]) is type(p[1]) is tuple
+                    and all(type(eq) is tuple and len(eq) == len(p[0]) for eq in p[1])):
+                raise TypeError("presentation must be a pair (dims, equations) of tuples, "
+                                "each equation as long as dims")
+            for value in p[0] + sum(p[1], ()):
+                _strict_int(value, "each presentation entry")
 
     @property
     def source(self) -> str:
@@ -88,7 +84,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         "a^2 b^2 = 1 gives 24 + 24 = 48; h0(O(2,2)) = 6*6 = 36 by Kunneth, "
         "minus the 9-dimensional space of multiples of the defining (1,1) "
         "form, so 27.  Cross-check: h0(-K) = (-K)^3/2 + 3.",
-        box_factors=(2, 2),
+        presentation=((2, 2), ((1, 1),)),
     ),
     CatalogEntry(
         id="fano3-2",
@@ -103,7 +99,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=30,
         derivation="(2a+3b)^3 on P1 x P2 = 3 * 2a * (3b)^2 = 54 with a^2 = 0, "
         "b^3 = 0, a b^2 = 1; h0 = 3 * 10 = 30 by Kunneth.",
-        box_factors=(2, 3),
+        presentation=((1, 2), ()),
     ),
     CatalogEntry(
         id="fano3-3",
@@ -132,7 +128,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         degree=48,
         h0=27,
         derivation="(2a+2b+2c)^3 = 8 * 3! * abc = 48; h0 = 3^3 = 27 by Kunneth.",
-        box_factors=(2, 2, 2),
+        presentation=((1, 1, 1), ()),
     ),
     CatalogEntry(
         id="fano3-5",
@@ -147,8 +143,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=35,
         derivation="4^3 = 64; h0(O(4)) = C(7,3) = 35.  Machine-recomputed from "
         "the empty complete intersection in P3.",
-        ci=CompleteIntersection(3, ()),
-        twist=4,
+        presentation=((3,), ()),
     ),
     CatalogEntry(
         id="fano3-6",
@@ -163,8 +158,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=30,
         derivation="3^3 * 2 = 54; h0 = C(7,4) - C(5,4) = 30 (Koszul).  "
         "Machine-recomputed from the complete intersection (2) in P4.",
-        ci=CompleteIntersection(4, (2,)),
-        twist=3,
+        presentation=((4,), ((2,),)),
     ),
     CatalogEntry(
         id="fano3-7",
@@ -180,8 +174,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         derivation="2^3 * 3 = 24; h0 = C(6,4) = 15 (the cubic imposes nothing "
         "in degree 2).  Machine-recomputed from the complete intersection (3) "
         "in P4.",
-        ci=CompleteIntersection(4, (3,)),
-        twist=2,
+        presentation=((4,), ((3,),)),
     ),
     CatalogEntry(
         id="fano3-8",
@@ -196,8 +189,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=19,
         derivation="2^3 * 4 = 32; h0 = C(7,5) - 2 = 19 (Koszul).  "
         "Machine-recomputed from the complete intersection (2,2) in P5.",
-        ci=CompleteIntersection(5, (2, 2)),
-        twist=2,
+        presentation=((5,), ((2,), (2,))),
     ),
     CatalogEntry(
         id="fano3-9",
@@ -246,8 +238,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=20,
         derivation="2^4 * 2 = 32; h0 = C(7,5) - 1 = 20 (Koszul).  "
         "Machine-recomputed from the complete intersection (2) in P5.",
-        ci=CompleteIntersection(5, (2,)),
-        twist=2,
+        presentation=((5,), ((2,),)),
     ),
     CatalogEntry(
         id="mukai-n5",
@@ -262,8 +253,7 @@ _ENTRIES: tuple[CatalogEntry, ...] = (
         h0=21,
         derivation="2^5 = 32; h0(O(2)) = C(7,5) = 21.  Machine-recomputed from "
         "the empty complete intersection in P5.",
-        ci=CompleteIntersection(5, ()),
-        twist=2,
+        presentation=((5,), ()),
     ),
 )
 
@@ -279,10 +269,8 @@ def entries(n: int | None = None, k: int | None = None,
             _strict_int(value, what)
     if not isinstance(entry_id, (str, type(None))):
         raise TypeError("id filter must be a str, got %r" % (entry_id,))
-    return [
-        e for e in _ENTRIES
-        if n in (None, e.n) and k in (None, e.k_very_ample) and entry_id in (None, e.id)
-    ]
+    return [e for e in _ENTRIES
+            if n in (None, e.n) and k in (None, e.k_very_ample) and entry_id in (None, e.id)]
 
 
 class CatalogVerification(_Record):
@@ -293,32 +281,48 @@ class CatalogVerification(_Record):
         return not self.failures
 
 
-def _entry_checks(e: CatalogEntry):
-    """Yield (holds, message) for each per-entry check of `verify_all`, in order.
+def _adjunction(e: CatalogEntry) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """(-K, L), a degree per factor of `e.presentation`: -K = (n_i + 1 - sum_j e_j[i])_i by
+    adjunction, and L = -K/(n - 2), or None when n - 2 does not divide -K."""
+    dims, equations = e.presentation
+    minus_k = tuple(d + 1 - sum(eq[i] for eq in equations) for i, d in enumerate(dims))
+    divides = e.n != 2 and not any(a % (e.n - 2) for a in minus_k)
+    return minus_k, tuple(a // (e.n - 2) for a in minus_k) if divides else None
 
-    The order chain and, after the rows, the floors are predicates; every other check
-    is a row (quantity, stored, recomputed) that holds when the two agree.  A stored
-    value outside a library function's domain raises its `InputError` or `TypeError` here.
+
+def _entry_checks(e: CatalogEntry, covered: set):
+    """Yield (holds, message) for each per-entry check of `verify_all`, in order, and add
+    (N, degrees, t) to `covered` when `e` is a complete intersection in P^N with L = O(t).
+
+    The order chain, the adjunction and the floors are predicates; every other check is a
+    row (quantity, stored, recomputed) that holds when the two agree.  A stored value
+    outside a library function's domain raises its `InputError` or `TypeError` here.
     """
     yield (1 <= e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%s, k_very_ample=%s, k_spanned=%s"
            % tuple(map(_decimal, (e.k_jet, e.k_very_ample, e.k_spanned))))
-    rows = [("Riemann-Roch degree", e.degree, 2 * (e.h0 - e.n))]
-    if e.ci is not None:
-        order = _line_order(count_lines(e.ci), e.twist)
-        rows += [("complete-intersection degree", e.degree, degree_of_twist(e.ci, e.twist)),
-                 ("complete-intersection h0", e.h0, h0_of_twist(e.ci, e.twist)),
-                 ("jet order", e.k_jet, order), ("very-ample order", e.k_very_ample, order),
-                 ("spanned order", e.k_spanned, order)]
-    if e.box_factors is not None:
-        # One-sided on fano3-1: X is a (1,1) divisor in P2 x P2, not a product, and
-        # restriction keeps k-very ampleness, so the row shows only k_very_ample >= 2.
-        # tests/test_catalog.py::KNOWN_GAP lists the unchecked upper side.
-        rows.append(("box-product order", e.k_very_ample,
-                     reduce(box_product_order, e.box_factors)))
+    rows, L = [("Riemann-Roch degree", e.degree, 2 * (e.h0 - e.n))], ()
+    if e.presentation is not None:
+        (dims, equations), (minus_k, L) = e.presentation, _adjunction(e)
+        rows.append(("dimension", e.n, sum(dims) - len(equations)))
+        if L is not None and len(L) == 1:
+            ci, t = CompleteIntersection(dims[0], [d for (d,) in equations]), L[0]
+            covered.add((ci.N, tuple(sorted(ci.degrees)), t))
+            order = _line_order(count_lines(ci), t)
+            rows += [("complete-intersection degree", e.degree, degree_of_twist(ci, t)),
+                     ("complete-intersection h0", e.h0, h0_of_twist(ci, t)),
+                     ("jet order", e.k_jet, order), ("very-ample order", e.k_very_ample, order),
+                     ("spanned order", e.k_spanned, order)]
+        elif L is not None:
+            # One-sided on fano3-1: X is a (1,1) divisor in P2 x P2, not a product, and
+            # restriction keeps k-very ampleness, so the row shows only k_very_ample >= 2.
+            # tests/test_catalog.py::KNOWN_GAP lists the unchecked upper side.
+            rows.append(("box-product order", e.k_very_ample, reduce(box_product_order, L)))
     for quantity, stored, recomputed in rows:
         yield (stored == recomputed, "%s mismatch (stored %s, recomputed %s)"
                % (quantity, _decimal(stored), _decimal(recomputed)))
+    if L is None:
+        yield False, "adjunction failed: -K = O(%s), not (n-2)L" % ",".join(map(_decimal, minus_k))
     verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
     yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
 
@@ -326,54 +330,52 @@ def _entry_checks(e: CatalogEntry):
 def verify_all(catalog=None) -> CatalogVerification:
     """Re-verify every entry against the computational modules; report, never raise.
 
-    Checks, per entry: the order chain 1 <= k_jet <= k_very_ample <= k_spanned (very
-    ample is 1-jet ample, and k_very_ample >= 2 for every entry), one row (quantity,
-    stored, recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n (every entry
-    is a Mukai pair, K = -(n-2)L); for complete-intersection entries the degree, h0 and
-    each of the three orders; and box-product orders; then the floors.  A row that
-    differs fails as "<quantity> mismatch (stored S, recomputed R)".  Globally, exactly
-    one entry (the double cover) may have k_jet < k_very_ample; its flag follows from
-    that.  The complete-intersection entries' (N, degrees, twist) are exactly the Mukai
-    pairs of `_mukai_complete_intersections`, and each missing or extra one fails by its CI;
-    the six other threefolds rest on the Iskovskikh-Mori-Mukai classification (Iskovskikh,
-    Prokhorov, Fano varieties, 1999), which cannot be recomputed here.  Accepts an
-    alternative entry sequence so that fault injection is testable.  Faults in an
-    entry's stored values are reported: a value that a library function rejects, by
-    InputError (k < 2, twist < 0, ...) or TypeError (a complete-intersection entry with no
-    twist), ends its entry as "<id>: outside the library's domain: <message>".  A row that
-    is not a `CatalogEntry` is the caller's type error: it raises TypeError, naming the
-    row, before any check runs.
+    Checks, per entry: the order chain 1 <= k_jet <= k_very_ample <= k_spanned (very ample
+    is 1-jet ample, and k_very_ample >= 2 for every entry), one row (quantity, stored,
+    recomputed) per recomputed quantity: Riemann-Roch h0 = L^n/2 + n (every entry is a Mukai
+    pair, K = -(n-2)L); for a presented entry its dimension and, from L by adjunction, in
+    one P^N the complete intersection's degree, h0 and three orders, in a product the
+    box-product order; then, when -K is not (n-2)L, "adjunction failed: ..."; then the
+    floors.  A row that differs fails as "<quantity> mismatch (stored S, recomputed R)".
+    Globally, exactly one entry (the double cover) may have k_jet < k_very_ample; its flag
+    follows from that.  The complete-intersection entries' (N, degrees, t) are exactly the
+    Mukai pairs of `_mukai_complete_intersections`, and each missing or extra one fails by
+    its CI; the six other threefolds rest on the Iskovskikh-Mori-Mukai classification
+    (Iskovskikh, Prokhorov, Fano varieties, 1999), which cannot be recomputed here.  Accepts
+    an alternative entry sequence so that fault injection is testable.  Faults in an entry's
+    stored values are reported: a value that a library function rejects, by InputError
+    (k < 2, L < 0, ...) or TypeError, ends its entry as "<id>: outside the library's domain:
+    <message>".  A row that is not a `CatalogEntry` is the caller's type error: it raises
+    TypeError, naming the row, before any check runs.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     for e in rows:
         if not isinstance(e, CatalogEntry):
             raise TypeError("catalog row must be a CatalogEntry, got %r" % (e,))
-    failures = []
+    failures, covered = [], set()
     for e in rows:
         try:
-            for holds, message in _entry_checks(e):
+            for holds, message in _entry_checks(e, covered):
                 if not holds:
                     failures.append("%s: %s" % (e.id, message))
         except (InputError, TypeError) as exc:
             failures.append("%s: outside the library's domain: %s" % (e.id, exc))
     deficient = [e.id for e in rows if e.k_jet < e.k_very_ample]
     if deficient != ["fano3-9"]:
-        failures.append(
-            "jet-deficiency structure violated: exactly the double-cover entry "
-            "must have k_jet < k_very_ample, got %r" % deficient
-        )
-    stored = {(e.ci.N, tuple(sorted(e.ci.degrees)), e.twist) for e in rows if e.ci is not None}
+        failures.append("jet-deficiency structure violated: exactly the double-cover entry "
+                        "must have k_jet < k_very_ample, got %r" % deficient)
     failures += sorted("complete-intersection coverage violated: %s with O(%s) is %s"
                        % (CompleteIntersection(N, degrees), _decimal(t),
-                          "extra" if (N, degrees, t) in stored else "missing")
-                       for N, degrees, t in stored ^ _mukai_complete_intersections())
+                          "extra" if (N, degrees, t) in covered else "missing")
+                       for N, degrees, t in covered ^ _mukai_complete_intersections())
     return CatalogVerification(len(rows), tuple(failures))
 
 
 def _mukai_complete_intersections() -> set:
-    """Every (N, degrees, t) with (CI(degrees) in P^N, O(t)) a Mukai pair: n = N - r >= 3,
-    each degree >= 2 (a degree 1 repeats X in a smaller P^N), t >= 2 and index
-    N + 1 - sum(d) = (n - 2)t.  As 2(n - 2) <= index <= n + 1 - r, n <= 5 - r and N <= 5."""
+    """Every (N, degrees, t) with (CI(degrees) in P^N, O(t)) a Mukai pair, against which
+    `verify_all` holds the (N, degrees, t) it derives from the one-factor presentations:
+    n = N - r >= 3, each degree >= 2 (a degree 1 repeats X in a smaller P^N), t >= 2 and
+    index N + 1 - sum(d) = (n - 2)t.  As 2(n - 2) <= index <= n + 1 - r, n <= 5 - r, N <= 5."""
     return {(N, ds, t) for N in range(3, 6) for r in range(N - 2)
             for ds in combinations_with_replacement(range(2, N + 2), r)
             for t in range(2, N + 2) if N + 1 - sum(ds) == (N - r - 2) * t}
@@ -386,10 +388,8 @@ _EXPORTED = ("id", "dim", "description", "ambient", "polarization", "k_jet", "k_
 def catalog_as_dicts(rows=None) -> list[dict]:
     """JSON-ready export: each `_EXPORTED` field of each entry through `_decimal`, which is
     str() at any size ("dim" is n)."""
-    return [
-        {name: _decimal(getattr(e, "n" if name == "dim" else name)) for name in _EXPORTED}
-        for e in (rows if rows is not None else _ENTRIES)
-    ]
+    return [{name: _decimal(getattr(e, "n" if name == "dim" else name)) for name in _EXPORTED}
+            for e in (rows if rows is not None else _ENTRIES)]
 
 
 class AdjunctionOutcome(_Record):

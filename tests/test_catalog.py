@@ -1,10 +1,12 @@
 import json
+import re
 from functools import reduce
 
 import pytest
 
 from fanojet.bounds import PolarizedInvariants, box_product_order, check
 from fanojet.catalog import (
+    _adjunction,
     _model,
     _mukai_complete_intersections,
     adjunction_cases,
@@ -12,7 +14,6 @@ from fanojet.catalog import (
     entries,
     verify_all,
 )
-from fanojet.chern import InputError
 from fanojet.lines import CompleteIntersection
 from fanojet.schubert import plucker_degree
 
@@ -86,8 +87,34 @@ def test_box_product_entries():
     }
     for entry_id, factors in folded.items():
         (e,) = entries(entry_id=entry_id)
-        assert e.box_factors == factors
+        assert _adjunction(e)[1] == factors
         assert reduce(box_product_order, factors) == e.k_very_ample == 2
+
+
+def test_the_polarization_text_names_the_derived_L():
+    """Each presented entry's exported `polarization` ("O(2,2) restricted to X", "O(2) box
+    O(3)", "O(4)", ...) names the L that `verify_all` derives by adjunction."""
+    named = {}
+    for e, row in zip(entries(), catalog_as_dicts()):
+        if e.presentation is not None:
+            text = ",".join(re.findall(r"O\(([\d,]+)\)", row["polarization"]))
+            named[e.id] = tuple(map(int, text.split(",")))
+            assert _adjunction(e)[1] == named[e.id], e.id
+    assert named == {"fano3-1": (2, 2), "fano3-2": (2, 3), "fano3-4": (2, 2, 2),
+                     "fano3-5": (4,), "fano3-6": (3,), "fano3-7": (2,), "fano3-8": (2,),
+                     "mukai-n4": (2,), "mukai-n5": (2,)}
+
+
+def _ci_and_twist(e):
+    """(X, t) for an entry presented in one P^N, t read off the index N + 1 - sum(d) =
+    (n - 2)t of X."""
+    (N,), equations = e.presentation
+    ci = CompleteIntersection(N, tuple(d for (d,) in equations))
+    return ci, (N + 1 - ci.degree_sum) // (e.n - 2)
+
+
+COMPLETE_INTERSECTIONS = [e for e in entries()
+                          if e.presentation is not None and len(e.presentation[0]) == 1]
 
 
 # --- verification pass ------------------------------------------------------------
@@ -105,7 +132,8 @@ def test_verify_all_passes_on_shipped_data():
         ("fano3-3", {"degree": 7},
          "fano3-3: Riemann-Roch degree mismatch (stored 7, recomputed 56)\n"
          "fano3-3: bound check failed: degree 7 below floor 2^n+k-2 = 8"),
-        ("fano3-2", {"box_factors": (2, 1)},
+        # A (1,1) divisor in P1 x P3 has -K = (1, 3): L = O(1, 3) is only 1-very ample.
+        ("fano3-2", {"presentation": ((1, 3), ((1, 1),))},
          "fano3-2: box-product order mismatch (stored 2, recomputed 1)"),
         ("fano3-7", {"k_jet": 3, "k_very_ample": 3, "k_spanned": 3},
          "fano3-7: jet order mismatch (stored 3, recomputed 2)\n"
@@ -134,20 +162,20 @@ def test_verify_all_passes_on_shipped_data():
          "fano3-9: order chain violated: k_jet=0, k_very_ample=2, k_spanned=2"),
         ("fano3-9", {"k_jet": -1},
          "fano3-9: order chain violated: k_jet=-1, k_very_ample=2, k_spanned=2"),
-        # A changed twist or ci leaves the enumerated Mukai pairs: coverage names both CIs.
-        ("fano3-7", {"twist": 3},
-         "fano3-7: complete-intersection degree mismatch (stored 24, recomputed 81)\n"
-         "fano3-7: complete-intersection h0 mismatch (stored 15, recomputed 34)\n"
-         "fano3-7: jet order mismatch (stored 2, recomputed 3)\n"
-         "fano3-7: very-ample order mismatch (stored 2, recomputed 3)\n"
-         "fano3-7: spanned order mismatch (stored 2, recomputed 3)\n"
+        # A changed presentation leaves the enumerated Mukai pairs: coverage names both CIs.
+        # A quartic threefold has -K = O(1), so L = O(1) and every L row fails.
+        ("fano3-7", {"presentation": ((4,), ((4,),))},
+         "fano3-7: complete-intersection degree mismatch (stored 24, recomputed 4)\n"
+         "fano3-7: complete-intersection h0 mismatch (stored 15, recomputed 5)\n"
+         "fano3-7: jet order mismatch (stored 2, recomputed 1)\n"
+         "fano3-7: very-ample order mismatch (stored 2, recomputed 1)\n"
+         "fano3-7: spanned order mismatch (stored 2, recomputed 1)\n"
          "complete-intersection coverage violated: CI(3) in P^4 with O(2) is missing\n"
-         "complete-intersection coverage violated: CI(3) in P^4 with O(3) is extra"),
-        ("mukai-n4", {"ci": CompleteIntersection(5, (3,))},
-         "mukai-n4: complete-intersection degree mismatch (stored 32, recomputed 48)\n"
-         "mukai-n4: complete-intersection h0 mismatch (stored 20, recomputed 21)\n"
-         "complete-intersection coverage violated: CI(2) in P^5 with O(2) is missing\n"
-         "complete-intersection coverage violated: CI(3) in P^5 with O(2) is extra"),
+         "complete-intersection coverage violated: CI(4) in P^4 with O(1) is extra"),
+        # A cubic fourfold has -K = O(3), which is not 2L: no L, so no L row, no coverage.
+        ("mukai-n4", {"presentation": ((5,), ((3,),))},
+         "mukai-n4: adjunction failed: -K = O(3), not (n-2)L\n"
+         "complete-intersection coverage violated: CI(2) in P^5 with O(2) is missing"),
         ("fano3-7", {"degree": 23},
          "fano3-7: Riemann-Roch degree mismatch (stored 23, recomputed 24)\n"
          "fano3-7: complete-intersection degree mismatch (stored 23, recomputed 24)"),
@@ -168,6 +196,11 @@ def test_verify_all_passes_on_shipped_data():
             "fano3-7: complete-intersection degree mismatch (stored 1{0}, recomputed 24)\n"
             "fano3-7: spanned order mismatch (stored 1{0}, recomputed 2)".format("0" * 5000),
             id="fano3-7-past-the-digit-limit"),
+        ("fano3-2", {"presentation": ((1, 1), ())},
+         "fano3-2: dimension mismatch (stored 3, recomputed 2)"),
+        # -K = (1, 2) on P2 x P2 restricted to a (2,1) divisor: L = (1, 2), of box order 1.
+        ("fano3-1", {"presentation": ((2, 2), ((2, 1),))},
+         "fano3-1: box-product order mismatch (stored 2, recomputed 1)"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
@@ -176,16 +209,16 @@ def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failur
     assert verify_all(broken).failures == tuple(failure.split("\n"))
 
 
-@pytest.mark.parametrize("dropped", [e.id for e in entries() if e.ci is not None])
+@pytest.mark.parametrize("dropped", [e.id for e in COMPLETE_INTERSECTIONS])
 def test_a_dropped_complete_intersection_is_reported_by_its_ci(dropped):
     (e,) = entries(entry_id=dropped)
     rows = [x for x in entries() if x is not e]
     assert verify_all(rows).failures == (
-        "complete-intersection coverage violated: %s with O(%d) is missing" % (e.ci, e.twist),)
+        "complete-intersection coverage violated: %s with O(%d) is missing" % _ci_and_twist(e),)
 
 
 def test_mukai_complete_intersections_are_the_six_entries_and_no_more():
-    stored = {(e.ci.N, e.ci.degrees, e.twist) for e in entries() if e.ci is not None}
+    stored = {(ci.N, ci.degrees, t) for ci, t in map(_ci_and_twist, COMPLETE_INTERSECTIONS)}
     assert _mukai_complete_intersections() == stored and len(stored) == 6
     # Past N = 5 no (N, r, t) admits degrees >= 2 summing to N + 1 - (n - 2)t, n = N - r.
     admitted = set()
@@ -212,8 +245,7 @@ def _names(failure: str, entry_id: str) -> bool:
 def test_every_single_field_fault_is_reported_and_none_raises():
     silent = set()
     for e in entries():
-        fields = ["n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0"]
-        for field in fields + ["twist"] * (e.twist is not None):
+        for field in ["n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0"]:
             for value in (getattr(e, field) - 1, getattr(e, field) + 1):
                 broken = [x._replace(**{field: value}) if x is e else x for x in entries()]
                 failures = verify_all(broken).failures
@@ -224,53 +256,26 @@ def test_every_single_field_fault_is_reported_and_none_raises():
 
 def _type_faults(e):
     """Single-field type faults of `e`, as `_replace` changes: each int field as a float,
-    a str, None and a bool; on a complete intersection, `ci` as a tuple and as a str; on a
-    box product, no factors, the last factor a float, and the factors as a list (which is
-    stored as the tuple, so that change is no fault)."""
+    a str, None and a bool; on a presented entry, the presentation as a list and as a str,
+    with an equation one longer than its factors, and with its first factor a float."""
     fields = ["n", "k_jet", "k_very_ample", "k_spanned", "degree", "h0"]
     faults = [{field: cast(getattr(e, field))}
-              for field in fields + ["twist"] * (e.twist is not None)
-              for cast in (float, str, lambda v: None, bool)]
-    if e.ci is not None:
-        faults += [{"ci": (e.ci.N, e.ci.degrees)}, {"ci": str(e.ci)}]
-    if e.box_factors is not None:
-        *head, last = e.box_factors
-        faults += [{"box_factors": ()}, {"box_factors": (*head, float(last))},
-                   {"box_factors": list(e.box_factors)}]
+              for field in fields for cast in (float, str, lambda v: None, bool)]
+    if e.presentation is not None:
+        (first, *rest), equations = e.presentation
+        faults += [{"presentation": list(e.presentation)}, {"presentation": str(e.presentation)},
+                   {"presentation": ((first, *rest), equations + ((1,) * (len(rest) + 2),))},
+                   {"presentation": ((float(first), *rest), equations)}]
     return faults
 
 
 def test_every_type_fault_is_rejected_or_reported_and_none_raises():
+    """Each is rejected when its entry is built, so none reaches `verify_all`."""
     faults = [(e, changes) for e in entries() for changes in _type_faults(e)]
-    assert len(faults) == 318 + 2 * 6 + 3
-    reported = stored_alike = 0
+    assert len(faults) == 288 + 4 * 9
     for e, changes in faults:
-        try:
-            changed = e._replace(**changes)
-        except (TypeError, InputError):
-            continue
-        failures = verify_all([changed if x is e else x for x in entries()]).failures
-        if changed == e:  # box factors given as a list, stored as the tuple
-            assert hash(changed) == hash(e) and type(changed.box_factors) is tuple
-            assert failures == ()
-            stored_alike += 1
-            continue
-        assert any(f.startswith(e.id + ": ") for f in failures), (e.id, changes)
-        reported += 1
-    # A complete-intersection entry with no twist.
-    assert (reported, stored_alike) == (6, 3)
-
-
-def test_catalog_entry_rejects_a_ci_of_another_type_and_empty_box_factors():
-    (cubic,) = entries(entry_id="fano3-7")
-    for ci in ((4, (3,)), "P4"):
-        with pytest.raises(TypeError, match="^ci must be a CompleteIntersection, got "):
-            cubic._replace(ci=ci)
-    (flag,) = entries(entry_id="fano3-1")
-    with pytest.raises(InputError, match="box_factors"):
-        flag._replace(box_factors=())
-    listed = flag._replace(box_factors=[2, 2])
-    assert listed == flag and hash(listed) == hash(flag) and listed.box_factors == (2, 2)
+        with pytest.raises(TypeError, match="must be an int, got |^presentation must be a pair"):
+            e._replace(**changes)
 
 
 def test_verify_all_raises_on_a_row_that_is_not_an_entry(monkeypatch):
@@ -283,16 +288,21 @@ def test_verify_all_raises_on_a_row_that_is_not_an_entry(monkeypatch):
 
 
 def _domain_faults(e):
-    """Stored values outside a library function's domain, as `_replace` changes of `e`."""
+    """Stored values outside a library function's domain, as `_replace` changes of `e`: on a
+    presented entry, three quadrics in P3 (X is empty), one equation of degree 0, and one
+    equation two more than each factor (-K < 0)."""
     faults = [{"degree": 0}, {"n": 0}, {"h0": -1}, {"k_very_ample": 0}, {"k_very_ample": 1}]
-    if e.ci is not None:
-        faults += [{"twist": -1}, {"ci": CompleteIntersection(3, (2, 2, 2))}]
+    if e.presentation is not None:
+        dims, _ = e.presentation
+        faults += [{"presentation": ((3,), ((2,), (2,), (2,)))},
+                   {"presentation": (dims, ((0,) * len(dims),))},
+                   {"presentation": (dims, (tuple(d + 2 for d in dims),))}]
     return faults
 
 
 def test_domain_faults_are_reported_under_their_entry_and_none_raises():
     faults = [(e, changes) for e in entries() for changes in _domain_faults(e)]
-    assert len(faults) == 72
+    assert len(faults) == 60 + 3 * 9
     for e, changes in faults:
         broken = [x._replace(**changes) if x is e else x for x in entries()]
         failures = verify_all(broken).failures  # raises nothing

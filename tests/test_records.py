@@ -33,8 +33,7 @@ FIELDS = {
     PolarizedInvariants: ("n", "k", "deg", "h0"),
     BoundsVerdict: ("degree_ok", "sections_ok", "borderline_consistent", "failures"),
     CatalogEntry: ("id", "n", "description", "ambient", "polarization", "k_jet",
-                   "k_very_ample", "k_spanned", "degree", "h0", "derivation", "ci", "twist",
-                   "box_factors"),
+                   "k_very_ample", "k_spanned", "degree", "h0", "derivation", "presentation"),
     CatalogVerification: ("checked", "failures"),
     AdjunctionOutcome: ("case_id", "constraints", "description"),
 }
@@ -52,7 +51,7 @@ SAMPLES = {
     "CatalogEntry(id='mukai-n5', n=5, description='P5', ambient='P5', polarization='O(2)', "
     "k_jet=2, k_very_ample=2, k_spanned=2, degree=32, h0=21, derivation='2^5 = 32; "
     "h0(O(2)) = C(7,5) = 21.  Machine-recomputed from the empty complete intersection in "
-    "P5.', ci=CompleteIntersection(N=5, degrees=()), twist=2, box_factors=None)":
+    "P5.', presentation=((5,), ()))":
         entries(entry_id="mukai-n5")[0],
     "CatalogVerification(checked=12, failures=())": verify_all(),
     "AdjunctionOutcome(case_id='reduction', constraints='any n >= 3, k >= 2', "
@@ -170,4 +169,4 @@ def test_asdict_nests_records():
         "formula_extrapolated": False,
     }
     entry = entries(entry_id="mukai-n5")[0]._asdict()
-    assert entry["ci"] == {"N": 5, "degrees": ()} and entry["box_factors"] is None
+    assert entry["presentation"] == ((5,), ())
