@@ -17,6 +17,7 @@ paired with the integer rule on (n, k) that its `constraints` text states
 `CompleteIntersection.dim` and the line rule); side conditions are text.
 """
 
+from collections import Counter
 from functools import reduce
 from itertools import combinations_with_replacement
 
@@ -337,16 +338,17 @@ def verify_all(catalog=None) -> CatalogVerification:
     one P^N the complete intersection's degree, h0 and three orders, in a product the
     box-product order; then, when -K is not (n-2)L, "adjunction failed: ..."; then the
     floors.  A row that differs fails as "<quantity> mismatch (stored S, recomputed R)".
-    Globally, exactly one entry (the double cover) may have k_jet < k_very_ample; its flag
-    follows from that.  The complete-intersection entries' (N, degrees, t) are exactly the
-    Mukai pairs of `_mukai_complete_intersections`, and each missing or extra one fails by
-    its CI; the six other threefolds rest on the Iskovskikh-Mori-Mukai classification
-    (Iskovskikh, Prokhorov, Fano varieties, 1999), which cannot be recomputed here.  Accepts
-    an alternative entry sequence so that fault injection is testable.  Faults in an entry's
-    stored values are reported: a value that a library function rejects, by InputError
-    (k < 2, L < 0, ...) or TypeError, ends its entry as "<id>: outside the library's domain:
-    <message>".  A row that is not a `CatalogEntry` is the caller's type error: it raises
-    TypeError, naming the row, before any check runs.
+    Globally, an id that more than one entry carries fails once, as "<id>: id repeated
+    (<count> entries)"; exactly one entry (the double cover) may have k_jet < k_very_ample,
+    and its flag follows from that.  The complete-intersection entries' (N, degrees, t) are
+    exactly the Mukai pairs of `_mukai_complete_intersections`, and each missing or extra
+    one fails by its CI; the six other threefolds rest on the Iskovskikh-Mori-Mukai
+    classification (Iskovskikh, Prokhorov, Fano varieties, 1999), which cannot be
+    recomputed here.  Accepts an alternative entry sequence so that fault injection is
+    testable.  Faults in an entry's stored values are reported: a value that a library
+    function rejects, by InputError (k < 2, L < 0, ...) or TypeError, ends its entry as
+    "<id>: outside the library's domain: <message>".  A row that is not a `CatalogEntry`
+    is the caller's type error: it raises TypeError, naming the row, before any check runs.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     for e in rows:
@@ -360,6 +362,8 @@ def verify_all(catalog=None) -> CatalogVerification:
                     failures.append("%s: %s" % (e.id, message))
         except (InputError, TypeError) as exc:
             failures.append("%s: outside the library's domain: %s" % (e.id, exc))
+    failures += ["%s: id repeated (%d entries)" % (entry_id, count)
+                 for entry_id, count in Counter(e.id for e in rows).items() if count > 1]
     deficient = [e.id for e in rows if e.k_jet < e.k_very_ample]
     if deficient != ["fano3-9"]:
         failures.append("jet-deficiency structure violated: exactly the double-cover entry "

@@ -51,10 +51,6 @@ def anticanonical_degree(ci: CompleteIntersection) -> int:
     return degree_of_twist(ci, ci.N + 1 - ci.degree_sum)
 
 
-def _binom(n: int, k: int) -> int:
-    return comb(n, k) if 0 <= k <= n else 0
-
-
 def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
     """h^0(O_X(t)) via the Koszul alternating sum over subsets of the degrees.
 
@@ -63,10 +59,11 @@ def h0_of_twist(ci: CompleteIntersection, t: int) -> int:
     sum over S of (-1)^|S| C(N + t - sum_{i in S} d_i, N), for positive-dimensional X.
     """
     _at_least(t, 0, "twist", "twist must be >= 0")
-    total = 0
-    for size in range(_positive_dimensional(ci).r + 1):
-        for subset in combinations(ci.degrees, size):
-            total += (-1) ** size * _binom(ci.N + t - sum(subset), ci.N)
+    N, total = ci.N, 0
+    for size in range(_positive_dimensional(ci).r + 1):  # a subset sum s > t adds C(< N, N) = 0
+        sums = map(sum, combinations(ci.degrees, size))
+        terms = sum(comb(N + t - s, N) for s in sums if s <= t)
+        total += -terms if size % 2 else terms
     return total
 
 

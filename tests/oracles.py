@@ -2,13 +2,13 @@
 
 Each is written against a different algorithm than the library: the free
 two-row Schur ring with the closed Littlewood-Richardson rule, coefficient
-extraction through the bialternant, direct monomial enumeration for Hilbert
-functions, and the splitting principle over the roots in (x, y).  The library's
-oracle expands the same root product in s = x + y and w = x - y, and rewrites
-it by a Taylor shift; `sym_top_roots_in_chern` (root by root, then leading-term
-elimination) and `unpaired_sym_top_chern` (root by root, then binomial peeling)
-stay in (x, y), so they check it independently.  Nothing here imports library
-code.
+extraction through the bialternant, direct monomial enumeration and running
+sums of the series for Hilbert functions, and the splitting principle over the
+roots in (x, y).  The library's oracle expands the same root product in
+s = x + y and w = x - y, and rewrites it by a Taylor shift;
+`sym_top_roots_in_chern` (root by root, then leading-term elimination) and
+`unpaired_sym_top_chern` (root by root, then binomial peeling) stay in (x, y),
+so they check it independently.  Nothing here imports library code.
 """
 
 from itertools import combinations_with_replacement
@@ -199,3 +199,20 @@ def ssyt_two_row_count(t: int, max_entry: int) -> int:
             if all(hi > lo for lo, hi in zip(top, bottom)):
                 count += 1
     return count
+
+
+def hilbert_series_h0(N: int, degrees, t: int) -> int:
+    """[s^t] of prod_i (1 - s^(d_i)) / (1 - s)^(N+1), the Hilbert series of a
+    complete intersection of the given degrees in P^N.
+
+    The numerator is multiplied out truncated at s^t, and each factor
+    1 / (1 - s) is applied as a running sum, so no binomial appears.
+    """
+    series = [1] + [0] * t
+    for d in degrees:
+        for k in range(t, d - 1, -1):
+            series[k] -= series[k - d]
+    for _ in range(N + 1):
+        for k in range(1, t + 1):
+            series[k] += series[k - 1]
+    return series[t]

@@ -217,6 +217,18 @@ def test_a_dropped_complete_intersection_is_reported_by_its_ci(dropped):
         "complete-intersection coverage violated: %s with O(%d) is missing" % _ci_and_twist(e),)
 
 
+@pytest.mark.parametrize("repeated", [e.id for e in entries()])
+def test_a_repeated_entry_is_reported_once_by_its_id(repeated):
+    """A second copy of an entry passes every per-entry check and, for a complete
+    intersection, adds nothing to the coverage set; only the id check sees it."""
+    outcome = verify_all(entries() + entries(entry_id=repeated))
+    expected = ("%s: id repeated (2 entries)" % repeated,)
+    if repeated == "fano3-9":
+        expected += ("jet-deficiency structure violated: exactly the double-cover entry must "
+                     "have k_jet < k_very_ample, got ['fano3-9', 'fano3-9']",)
+    assert (outcome.checked, outcome.failures) == (13, expected)
+
+
 def test_mukai_complete_intersections_are_the_six_entries_and_no_more():
     stored = {(ci.N, ci.degrees, t) for ci, t in map(_ci_and_twist, COMPLETE_INTERSECTIONS)}
     assert _mukai_complete_intersections() == stored and len(stored) == 6

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +20,7 @@ from fanojet.lines import (
 )
 from fanojet.schubert import CohomologyElement
 
-from oracles import degree_tuples, monomial_hilbert
+from oracles import degree_tuples, hilbert_series_h0, monomial_hilbert
 
 
 def ci(N, *degrees):
@@ -117,11 +119,37 @@ def test_h0_rejects_negative_twist():
 
 
 def test_h0_against_monomial_enumeration():
-    for N in range(1, 6):
-        for degrees in (t for r in range(min(2, N - 1) + 1) for t in degree_tuples(r, 4)):
+    sizes_from_three = sums_past_top = 0  # subsets of size >= 3; subset sums past N + t
+    for N in range(1, 8):
+        for degrees in (t for r in range(min(4, N - 1) + 1) for t in degree_tuples(r, 4)):
             c = CompleteIntersection(N, degrees)
             for t in range(7):
                 assert h0_of_twist(c, t) == monomial_hilbert(N, degrees, t), (N, degrees, t)
+                sizes_from_three += len(degrees) >= 3
+                sums_past_top += sum(degrees) > N + t
+    assert sizes_from_three and sums_past_top
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_h0_against_the_hilbert_series(data):
+    N = data.draw(st.integers(1, 40), label="N")
+    degrees = data.draw(st.lists(st.integers(1, 6), max_size=min(12, N - 1)), label="degrees")
+    degrees = tuple(degrees)
+    t = data.draw(st.integers(0, 8), label="t")
+    assert h0_of_twist(CompleteIntersection(N, degrees), t) == hilbert_series_h0(N, degrees, t)
+
+
+def test_h0_holds_nothing_of_size_two_to_the_r():
+    """The 2^14 subset sums are summed as they are made: a list of them peaks at ~199 KB."""
+    c = ci(40, 2, 3, 4, 5, 6, 2, 3, 4, 5, 6, 2, 3, 4, 5)
+    tracemalloc.start()
+    try:
+        h0_of_twist(c, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024, peak
 
 
 # --- jet order and line existence must cohere over a sweep --------------------------
