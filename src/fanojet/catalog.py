@@ -7,8 +7,9 @@ for the nine entries presented in products of projective spaces, by adjunction.
 Each invariant was derived independently and is re-verified by `verify_all`: the
 order chain, each recomputed quantity (Riemann-Roch, dimension, complete-intersection
 degree, h0 and orders, box-product orders) as a row (quantity, stored, recomputed),
-then the floors, the double cover as the one entry 2-very ample but not 2-jet
-ample, and the complete-intersection entries as all the Mukai ones there are.
+then the Mukai order and the floors, the double cover as the one entry 2-very
+ample but not 2-jet ample, and the complete-intersection entries as all the Mukai
+ones there are.
 
 The adjunction outcome table records which special structures can absorb a
 pair (n, k) before the second reduction exists.  Each outcome is plain data,
@@ -21,7 +22,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations_with_replacement
 
-from .bounds import PolarizedInvariants, box_product_order, check, nefvalue_bound
+from .bounds import PolarizedInvariants, box_product_order, check
 from .chern import InputError, _at_least, _decimal, _Record, _strict_int
 from .fano import _line_order, degree_of_twist, h0_of_twist
 from .lines import CompleteIntersection, count_lines
@@ -291,13 +292,20 @@ def _adjunction(e: CatalogEntry) -> tuple[tuple[int, ...], tuple[int, ...] | Non
     return minus_k, tuple(a // (e.n - 2) for a in minus_k) if divides else None
 
 
+def _mukai_order(n: int, k: int) -> bool:
+    """Whether a k-very ample L can have K = -(n-2)L: the nefvalue bound (n+1)/k >= n-2
+    of `bounds.nefvalue_bound`, in integers."""
+    return (n - 2) * k <= n + 1
+
+
 def _entry_checks(e: CatalogEntry, covered: set):
     """Yield (holds, message) for each per-entry check of `verify_all`, in order, and add
     (N, degrees, t) to `covered` when `e` is a complete intersection in P^N with L = O(t).
 
-    The order chain, the adjunction and the floors are predicates; every other check is a
-    row (quantity, stored, recomputed) that holds when the two agree.  A stored value
-    outside a library function's domain raises its `InputError` or `TypeError` here.
+    The order chain, the adjunction, the Mukai order and the floors are predicates; every
+    other check is a row (quantity, stored, recomputed) that holds when the two agree.  A
+    stored value outside a library function's domain raises its `InputError` or `TypeError`
+    here.
     """
     yield (1 <= e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%s, k_very_ample=%s, k_spanned=%s"
@@ -324,6 +332,10 @@ def _entry_checks(e: CatalogEntry, covered: set):
                % (quantity, _decimal(stored), _decimal(recomputed)))
     if L is None:
         yield False, "adjunction failed: -K = O(%s), not (n-2)L" % ",".join(map(_decimal, minus_k))
+    if not _mukai_order(e.n, e.k_very_ample):
+        yield False, ("not a Mukai order: (n-2)k > n+1 at n=%s, k_very_ample=%s"
+                      % (_decimal(e.n), _decimal(e.k_very_ample)))
+        return
     verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
     yield verdict.ok, "bound check failed: %s" % "; ".join(verdict.failures)
 
@@ -337,6 +349,8 @@ def verify_all(catalog=None) -> CatalogVerification:
     pair, K = -(n-2)L); for a presented entry its dimension and, from L by adjunction, in
     one P^N the complete intersection's degree, h0 and three orders, in a product the
     box-product order; then, when -K is not (n-2)L, "adjunction failed: ..."; then the
+    Mukai order (n-2)k_very_ample <= n+1, the nefvalue bound in integers, whose failure
+    "not a Mukai order: ..." ends the entry (a huge stored n never reaches 2^n); then the
     floors.  A row that differs fails as "<quantity> mismatch (stored S, recomputed R)".
     Globally, an id that more than one entry carries fails once, as "<id>: id repeated
     (<count> entries)"; exactly one entry (the double cover) may have k_jet < k_very_ample,
@@ -427,7 +441,7 @@ _ADJUNCTION = (
     (AdjunctionOutcome("vi", "n in {4, 5} with k = 2, or n = 3 with 2 <= k <= 4",
                        "Mukai pair: K = -(n-2)L; the nefvalue bound (n+1)/k >= n-2 "
                        "forces these (n, k)"),
-     lambda n, k: nefvalue_bound(n, k) >= n - 2),
+     _mukai_order),
     (AdjunctionOutcome("vii", "n = 4, k = 2", "Del Pezzo fibration over a smooth curve with "
                        "general fibers (P3, O(2))"),
      _model(CompleteIntersection(3), 2, 1)),

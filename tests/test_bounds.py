@@ -13,6 +13,7 @@ from fanojet.bounds import (
     min_sections,
     nefvalue_bound,
 )
+from fanojet.chern import InputError
 from fanojet.fano import degree_of_twist, h0_of_twist
 from fanojet.lines import CompleteIntersection
 
@@ -29,12 +30,16 @@ def test_min_sections_examples():
     assert min_sections(5, 2) == 11
 
 
-@pytest.mark.parametrize("func", [min_degree, min_sections])
-def test_floors_require_k_at_least_two(func):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("func, bound", [(min_degree, "degree"), (min_sections, "section")],
+                         ids=["min_degree", "min_sections"])
+def test_floors_require_k_at_least_two(func, bound):
+    with pytest.raises(InputError, match="^%s bound requires k >= 2$" % bound):
         func(3, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^dimension must be >= 1$"):
         func(0, 2)
+    for n in (2.5, 3.0):  # once 5.656... and 7.0
+        with pytest.raises(TypeError):
+            func(n, 2)
 
 
 def test_floors_strictly_increasing():
@@ -81,14 +86,15 @@ def test_check_without_h0():
 
 
 def test_invariants_validation():
-    with pytest.raises(ValueError):
-        PolarizedInvariants(0, 2, 5)
-    with pytest.raises(ValueError):
-        PolarizedInvariants(3, -1, 5)
-    with pytest.raises(ValueError):
-        PolarizedInvariants(3, 2, 0)
-    with pytest.raises(ValueError):  # from the constructor now: k = 1 is outside the floors
-        check(PolarizedInvariants(3, 1, 5))
+    for fields, message in [
+        ((0, 2, 5), "dimension must be >= 1"),
+        ((3, -1, 5), "degree bound requires k >= 2"),
+        ((3, 1, 5), "degree bound requires k >= 2"),  # k = 1 is outside the floors
+        ((3, 2, 0), "degree must be >= 1"),
+        ((3, 2, 8, -1), "h0 must be >= 0"),
+    ]:
+        with pytest.raises(InputError, match="^%s$" % message):
+            PolarizedInvariants(*fields)
 
 
 @settings(max_examples=300, deadline=None)
@@ -128,10 +134,12 @@ def test_nefvalue_examples():
 
 
 def test_nefvalue_hypotheses():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^nefvalue bound requires n >= 3$"):
         nefvalue_bound(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^nefvalue bound requires k >= 2$"):
         nefvalue_bound(3, 1)
+    with pytest.raises(TypeError):
+        nefvalue_bound(5, True)
 
 
 def test_nefvalue_pins_down_the_mukai_range():
@@ -155,15 +163,20 @@ def test_box_product_order():
     assert box_product_order(2, 3) == 2
     assert box_product_order(2, 2) == 2
     assert box_product_order(0, 5) == 0
-    with pytest.raises(ValueError):
-        box_product_order(-1, 2)
+    for orders in ((-1, 2), (2, -1)):
+        with pytest.raises(InputError, match="^orders must be >= 0$"):
+            box_product_order(*orders)
+    with pytest.raises(TypeError):
+        box_product_order(True, 2)  # once True
 
 
 def test_curve_degree_floor():
     assert curve_degree_floor(2) == 2
     assert curve_degree_floor(0) == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^order must be >= 0$"):
         curve_degree_floor(-1)
+    with pytest.raises(TypeError):
+        curve_degree_floor(2.5)  # once 2.5
     # a line (degree 1) breaks 2-very ampleness, a conic does not
     assert 1 < curve_degree_floor(2)
     assert not 2 < curve_degree_floor(2)

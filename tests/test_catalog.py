@@ -1,10 +1,8 @@
 import json
 import re
-from functools import reduce
 
 import pytest
 
-from fanojet.bounds import PolarizedInvariants, box_product_order, check
 from fanojet.catalog import (
     _adjunction,
     _model,
@@ -14,6 +12,7 @@ from fanojet.catalog import (
     entries,
     verify_all,
 )
+from fanojet.chern import InputError
 from fanojet.lines import CompleteIntersection
 from fanojet.schubert import plucker_degree
 
@@ -22,13 +21,6 @@ from oracles import ssyt_two_row_count
 
 # --- the table itself ----------------------------------------------------------
 
-def test_twelve_entries_with_unique_ids():
-    rows = entries()
-    assert len(rows) == 12
-    assert len({e.id for e in rows}) == 12
-    assert rows == entries()  # stable order
-
-
 def test_filters():
     assert [e.id for e in entries(k=4)] == ["fano3-5"]
     assert [e.id for e in entries(k=3)] == ["fano3-6"]
@@ -36,37 +28,18 @@ def test_filters():
     assert len(entries(k=2)) == 10
     assert [e.id for e in entries(entry_id="fano3-9")] == ["fano3-9"]
     assert entries(n=7) == []
-    with pytest.raises(TypeError):
-        entries(entry_id=3)  # an id of the wrong type must not silently match nothing
-
-
-def test_every_entry_passes_the_floors():
-    for e in entries():
-        verdict = check(PolarizedInvariants(e.n, e.k_very_ample, e.degree, e.h0))
-        assert verdict.ok, e.id
+    for filters in ({"entry_id": 3}, {"n": 3.0}, {"n": True}, {"k": 2.0}):
+        with pytest.raises(TypeError):  # once [], the 10 threefolds, [] and the 10 with k = 2
+            entries(**filters)
 
 
 def test_order_chains():
+    # `verify_all` checks each chain.  The equal orders off the double cover also catch five
+    # of the six KNOWN_GAP faults, which `verify_all` cannot see; the golden `catalog --json`
+    # output pins the sixth, fano3-9's k_spanned.
     for e in entries():
-        assert 1 <= e.k_jet <= e.k_very_ample <= e.k_spanned, e.id
         if e.id != "fano3-9":
             assert e.k_jet == e.k_very_ample == e.k_spanned, e.id
-
-
-def test_double_cover_is_the_unique_jet_deficient_entry():
-    deficient = [e for e in entries() if e.k_jet < e.k_very_ample]
-    assert [e.id for e in deficient] == ["fano3-9"]
-    (e,) = deficient
-    assert e.k_jet == 1 and e.k_very_ample == 2 and e.k_spanned == 2
-    assert e.flag == "2-very ample but not 2-jet ample"
-    assert e.degree == 16 and e.h0 == 11  # 2 * 2^3 and 10 + 1
-
-
-def test_anticanonical_threefolds_satisfy_riemann_roch():
-    # h0(-K) = (-K)^3 / 2 + 3 on a Fano threefold
-    for e in entries(n=3):
-        assert e.degree % 2 == 0, e.id
-        assert e.h0 == e.degree // 2 + 3, e.id
 
 
 def test_grassmannian_section_invariants_rederived():
@@ -77,18 +50,6 @@ def test_grassmannian_section_invariants_rederived():
     h = [ssyt_two_row_count(t, 5) for t in range(3)]
     assert h == [1, 10, 50]
     assert e.h0 == h[2] - 3 * h[1] + 3 * h[0]
-
-
-def test_box_product_entries():
-    folded = {
-        "fano3-1": (2, 2),
-        "fano3-2": (2, 3),
-        "fano3-4": (2, 2, 2),
-    }
-    for entry_id, factors in folded.items():
-        (e,) = entries(entry_id=entry_id)
-        assert _adjunction(e)[1] == factors
-        assert reduce(box_product_order, factors) == e.k_very_ample == 2
 
 
 def test_the_polarization_text_names_the_derived_L():
@@ -201,6 +162,16 @@ def test_verify_all_passes_on_shipped_data():
         # -K = (1, 2) on P2 x P2 restricted to a (2,1) divisor: L = (1, 2), of box order 1.
         ("fano3-1", {"presentation": ((2, 2), ((2, 1),))},
          "fano3-1: box-product order mismatch (stored 2, recomputed 1)"),
+        # A huge stored n ends its entry at the Mukai order, before the 2^n of the floors.
+        pytest.param(
+            "fano3-7", {"n": 10 ** 5000},
+            "fano3-7: Riemann-Roch degree mismatch (stored 24, recomputed -1{0}70)\n"
+            "fano3-7: dimension mismatch (stored 1{1}, recomputed 3)\n"
+            "fano3-7: adjunction failed: -K = O(2), not (n-2)L\n"
+            "fano3-7: not a Mukai order: (n-2)k > n+1 at n=1{1}, k_very_ample=2\n"
+            "complete-intersection coverage violated: CI(3) in P^4 with O(2) is missing"
+            .format("9" * 4998, "0" * 5000),
+            id="fano3-7-huge-n"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):
@@ -361,28 +332,6 @@ def test_catalog_export_uses_decimal_strings():
 
 # --- adjunction outcomes ----------------------------------------------------------------
 
-def test_adjunction_high_order_leaves_only_the_reduction():
-    assert [c.case_id for c in adjunction_cases(3, 5)] == ["reduction"]
-
-
-def test_adjunction_n4_k2():
-    ids = {c.case_id for c in adjunction_cases(4, 2)}
-    assert {"iii", "vi", "vii"} <= ids
-    assert "1" in ids and "reduction" in ids
-    assert {"i", "ii", "iv", "v", "2"}.isdisjoint(ids)
-
-
-def test_adjunction_n6_is_generic_only():
-    assert [c.case_id for c in adjunction_cases(6, 2)] == ["reduction", "1"]
-
-
-def test_adjunction_n3_k2_has_the_special_pile():
-    ids = [c.case_id for c in adjunction_cases(3, 2)]
-    assert ids == ["i", "ii", "iv", "v", "vi", "reduction", "2"]
-    assert [c.case_id for c in adjunction_cases(3, 3)] == ["ii", "vi", "reduction"]
-    assert [c.case_id for c in adjunction_cases(3, 4)] == ["vi", "reduction"]
-
-
 def test_mukai_case_is_the_nefvalue_bound():
     # a Mukai pair has nefvalue n - 2, and the nefvalue is at most (n+1)/k: solved by hand,
     # n = 3 with k <= 4, or n in {4, 5} with k = 2
@@ -440,7 +389,9 @@ def test_adjunction_antitone_in_k():
 
 
 def test_adjunction_domain():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^adjunction table requires n >= 3$"):
         adjunction_cases(2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^adjunction table requires k >= 2$"):
         adjunction_cases(3, 1)
+    with pytest.raises(TypeError):
+        adjunction_cases(3.0, 2.0)

@@ -177,7 +177,7 @@ def test_weighted_degree_is_d_plus_one(d):
 @pytest.mark.parametrize("func", [sym_top_chern, sym_top_chern_oracle, sym_top_chern_paper])
 @pytest.mark.parametrize("d", [0, -1, -7])
 def test_nonpositive_d_rejected(func, d):
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^symmetric power exponent must be >= 1$"):
         func(d)
 
 
@@ -199,10 +199,11 @@ def test_int_coercion_and_subtraction():
 
 
 def test_negative_exponent_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match=r"^negative exponent in \(-1, 0\)$"):
         poly({(-1, 0): 1})
-    with pytest.raises(ValueError):
-        ChernPolynomial.c1() ** -2
+    for exponent in (-1, -2):
+        with pytest.raises(InputError, match="^negative powers are not defined$"):
+            ChernPolynomial.c1() ** exponent
 
 
 @pytest.mark.parametrize(
@@ -218,6 +219,9 @@ def test_negative_exponent_rejected():
         lambda: ChernPolynomial.c2() * False,
         lambda: ChernPolynomial.c1() ** True,
         lambda: ChernPolynomial.c1().coefficient(True, 0),  # once 1
+        lambda: sym_top_chern(True),                          # once c2
+        lambda: sym_top_chern_paper(True),                    # once 4*c2
+        lambda: sym_top_chern_oracle(2.0),
     ],
 )
 def test_chern_polynomial_rejects_non_int(build):
@@ -254,7 +258,7 @@ def test_ring_results_pass_the_checks_they_skip(p, q, k, n):
 def test_power_by_squaring_equals_repeated_products(p):
     for n in range(18):  # every n of up to 4 bits, then 16 and 17 (5 bits)
         assert p ** n == prod(repeat(p, n), start=ChernPolynomial.one()), n
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="^negative powers are not defined$"):
         p ** -1
 
 

@@ -81,11 +81,6 @@ def test_other_curves_get_extrapolated_orders():
     assert not rep.curve_exception
 
 
-def test_analyze_rejects_zero_dimensional():
-    with pytest.raises(ValueError, match="not positive-dimensional"):
-        analyze(ci(2, 2, 2))
-
-
 # --- degrees ----------------------------------------------------------------------
 
 def test_anticanonical_degree_examples():
@@ -103,6 +98,8 @@ def test_degree_of_twist():
     assert degree_of_twist(ci(5, 2), 2) == 32
     assert degree_of_twist(ci(5), 2) == 32
     assert degree_of_twist(ci(4, 3), 1) == 3
+    with pytest.raises(TypeError):
+        degree_of_twist(ci(4, 3), 2.0)  # once 24.0
 
 
 # --- section counts ----------------------------------------------------------------
@@ -114,8 +111,11 @@ def test_h0_examples():
 
 
 def test_h0_rejects_negative_twist():
-    with pytest.raises(ValueError):
-        h0_of_twist(ci(3), -1)
+    for c in (ci(3), ci(3, 2)):
+        with pytest.raises(InputError, match="^twist must be >= 0$"):
+            h0_of_twist(c, -1)
+        with pytest.raises(TypeError):  # the type before the domain
+            h0_of_twist(c, -1.0)
 
 
 def test_h0_against_monomial_enumeration():

@@ -154,8 +154,6 @@ def test_count_lines_preconditions():
     # P^N takes the general route: all of G(2, N+1), or the single line P^1
     assert count_lines(ci(4)) == LineCount.family(6)
     assert count_lines(ci(1)) == LineCount.finite(1)
-    with pytest.raises(ValueError, match="not positive-dimensional"):
-        count_lines(ci(3, 2, 2, 2))
 
 
 # --- the nonvanishing criterion ------------------------------------------------
@@ -296,10 +294,11 @@ def test_family_through_point_ambient_space():
 # --- data validation ---------------------------------------------------------------
 
 def test_complete_intersection_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^ambient dimension N must be >= 1$"):
         CompleteIntersection(0)
-    with pytest.raises(ValueError):
-        CompleteIntersection(3, (0,))
+    for N, degrees in ((3, (0,)), (4, (3, 0))):
+        with pytest.raises(InputError, match="^degrees must be positive integers$"):
+            CompleteIntersection(N, degrees)
     assert ci(4, 2, 3).dim == 2
     assert str(ci(4, 2, 3)) == "CI(2,3) in P^4"
     assert str(ci(4)) == "P^4"
@@ -316,7 +315,7 @@ def test_complete_intersection_validation():
     ],
 )
 def test_complete_intersection_rejects_non_int(N, degrees):
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="^(N|each degree) must be an int, got "):
         CompleteIntersection(N, degrees)
 
 
@@ -345,10 +344,13 @@ def test_line_count_constructor_validates(args, kwargs, message):
 
 
 def test_line_count_factories():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^finite line counts are nonnegative$"):
         LineCount.finite(-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="^family dimension must be >= 1$"):
         LineCount.family(0)
+    for build in (lambda: LineCount.finite(2.5), lambda: LineCount.family(2.0)):
+        with pytest.raises(TypeError):
+            build()
     assert LineCount.empty().is_nonempty is False
     assert LineCount.finite(0).is_nonempty is False
     assert LineCount.finite(5).is_nonempty is True

@@ -1,6 +1,8 @@
-"""The `fanojet` package surface: its public names, what importing it loads, and its
-promise that the public functions are safe to call from several threads."""
+"""The `fanojet` package surface: its public names, what importing it loads, the syntax
+floor of its declared Python, and its promise that the public functions are safe to call
+from several threads."""
 
+import ast
 import importlib
 import json
 import os
@@ -119,9 +121,9 @@ def _cli(*argv: str) -> str:
                  CLI_CORE | {"fanojet.bounds", "json"}, id="bounds-json"),
     pytest.param(_cli("catalog"), ALL_BUT_SCHUBERT, id="catalog"),
     pytest.param(_cli("catalog", "verify"), ALL_BUT_SCHUBERT, id="catalog-verify"),
-    # The nefvalue bound, adjunction case vi, is the one library use of Fraction.
-    pytest.param(_cli("adjunction", "--dim", "3", "--order", "2"),
-                 ALL_BUT_SCHUBERT | {"fractions", "decimal"}, id="adjunction"),
+    # Adjunction case vi states the nefvalue bound in integers, so no Fraction.
+    pytest.param(_cli("adjunction", "--dim", "3", "--order", "2"), ALL_BUT_SCHUBERT,
+                 id="adjunction"),
     pytest.param(_cli("chern", "--sym", "4", "--paper-formula"),
                  CLI_CORE | {"fractions", "decimal"}, id="chern-paper-formula"),
     # The Schubert ring loads with the first call of lines_class, the one code that needs it.
@@ -132,6 +134,16 @@ def _cli(*argv: str) -> str:
 ])
 def test_subcommand_loads_only_what_it_runs(code, loaded):
     assert _loaded_in_fresh_interpreter(code) == loaded
+
+
+def test_sources_parse_as_the_declared_floor_python():
+    # pyproject.toml declares requires-python >= 3.10.  This checks syntax only: a name that
+    # 3.10's standard library lacks still passes.
+    root = Path(__file__).resolve().parents[1]
+    files = [p for top in ("src", "tests", "perfbench") for p in sorted((root / top).rglob("*.py"))]
+    assert {p.relative_to(root).parts[0] for p in files} == {"src", "tests", "perfbench"}
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
 
 
 def test_submodule_attribute_in_a_fresh_interpreter():

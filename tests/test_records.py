@@ -118,16 +118,10 @@ def test_defaults_fill_trailing_fields():
 
 
 def test_post_init_still_validates():
-    with pytest.raises(TypeError, match="N must be an int"):
-        CompleteIntersection(True, ())
     with pytest.raises(InputError, match="ambient dimension N must be >= 1"):
         CompleteIntersection(4, (5,))._replace(N=0)
     with pytest.raises(InputError, match="ambient dimension N must be >= 1"):
         CompleteIntersection(0, (2.5,))  # N, type then range, before the degrees
-    with pytest.raises(InputError, match="unknown line count kind"):
-        LineCount("bogus")
-    with pytest.raises(InputError, match="degree must be >= 1"):
-        PolarizedInvariants(3, 2, 0)
     assert CompleteIntersection(4, [5]).degrees == (5,)
 
 
