@@ -303,9 +303,11 @@ def _entry_checks(e: CatalogEntry, covered: set):
     (N, degrees, t) to `covered` when `e` is a complete intersection in P^N with L = O(t).
 
     The order chain, the adjunction, the Mukai order and the floors are predicates; every
-    other check is a row (quantity, stored, recomputed) that holds when the two agree.  A
-    stored value outside a library function's domain raises its `InputError` or `TypeError`
-    here.
+    other check is a row (quantity, stored, recomputed) that holds when the two agree.  The
+    rows read off L (complete intersection or box product) and the `covered` entry come only
+    from a presentation whose dimension row holds, so a wrong one such as CI(3) in P^1000000
+    is never computed.  A stored value outside a library function's domain raises its
+    `InputError` or `TypeError` here.
     """
     yield (1 <= e.k_jet <= e.k_very_ample <= e.k_spanned,
            "order chain violated: k_jet=%s, k_very_ample=%s, k_spanned=%s"
@@ -313,8 +315,11 @@ def _entry_checks(e: CatalogEntry, covered: set):
     rows, L = [("Riemann-Roch degree", e.degree, 2 * (e.h0 - e.n))], ()
     if e.presentation is not None:
         (dims, equations), (minus_k, L) = e.presentation, _adjunction(e)
-        rows.append(("dimension", e.n, sum(dims) - len(equations)))
-        if L is not None and len(L) == 1:
+        dimension = sum(dims) - len(equations)
+        rows.append(("dimension", e.n, dimension))
+        # A presentation of another dimension is not X: no L row and no CI come from it.
+        consistent = L is not None and dimension == e.n
+        if consistent and len(L) == 1:
             ci, t = CompleteIntersection(dims[0], [d for (d,) in equations]), L[0]
             covered.add((ci.N, tuple(sorted(ci.degrees)), t))
             order = _line_order(count_lines(ci), t)
@@ -322,7 +327,7 @@ def _entry_checks(e: CatalogEntry, covered: set):
                      ("complete-intersection h0", e.h0, h0_of_twist(ci, t)),
                      ("jet order", e.k_jet, order), ("very-ample order", e.k_very_ample, order),
                      ("spanned order", e.k_spanned, order)]
-        elif L is not None:
+        elif consistent:
             # One-sided on fano3-1: X is a (1,1) divisor in P2 x P2, not a product, and
             # restriction keeps k-very ampleness, so the row shows only k_very_ample >= 2.
             # tests/test_catalog.py::KNOWN_GAP lists the unchecked upper side.
@@ -363,6 +368,8 @@ def verify_all(catalog=None) -> CatalogVerification:
     function rejects, by InputError (k < 2, L < 0, ...) or TypeError, ends its entry as
     "<id>: outside the library's domain: <message>".  A row that is not a `CatalogEntry`
     is the caller's type error: it raises TypeError, naming the row, before any check runs.
+    A presented entry whose dimension row fails gets no row from L and adds no complete
+    intersection to the coverage check.
     """
     rows = tuple(catalog) if catalog is not None else _ENTRIES
     for e in rows:

@@ -172,6 +172,11 @@ def test_verify_all_passes_on_shipped_data():
             "complete-intersection coverage violated: CI(3) in P^4 with O(2) is missing"
             .format("9" * 4998, "0" * 5000),
             id="fano3-7-huge-n"),
+        # A presentation of the wrong dimension yields no L row: CI(3) in P^100000 is not
+        # computed (once 5.7 s; P^1000000 did not return).
+        ("fano3-7", {"presentation": ((100000,), ((3,),))},
+         "fano3-7: dimension mismatch (stored 3, recomputed 99999)\n"
+         "complete-intersection coverage violated: CI(3) in P^4 with O(2) is missing"),
     ],
 )
 def test_verify_all_reports_exactly_the_injected_fault(entry_id, changes, failure):

@@ -29,7 +29,7 @@ from fanojet.bounds import (
     nefvalue_bound,
 )
 from fanojet.catalog import adjunction_cases
-from fanojet.chern import ChernPolynomial, InputError, sym_top_chern, sym_top_chern_oracle
+from fanojet.chern import ChernPolynomial, sym_top_chern, sym_top_chern_oracle
 from fanojet.cli import TEXT_VIEWS, build_parser, run
 from fanojet.fano import analyze, anticanonical_degree, degree_of_twist, h0_of_twist
 from fanojet.lines import CompleteIntersection, LineCount, count_lines
@@ -138,44 +138,8 @@ def test_fano_without_a_line_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("internal check failed: no line on the Fano ")
 
 
-# The library's validators, called directly: each InputError message matched
-# whole, and a non-int argument rejected with TypeError.  The test file of each
-# module repeats its own rows; these tables are the cross-module view of the
-# messages that `run` turns into exit code 2.
-_VALIDATORS = {
-    "chern": (lambda: sym_top_chern(0), "symmetric power exponent must be >= 1"),
-    "chern-oracle": (lambda: sym_top_chern_oracle(0), "symmetric power exponent must be >= 1"),
-    "chern-power": (lambda: ChernPolynomial.c1() ** -1, "negative powers are not defined"),
-    "schubert": (lambda: sigma(1, 0), "Grassmannian parameter m must be >= 2"),
-    "lines": (lambda: CompleteIntersection(0, ()), "ambient dimension N must be >= 1"),
-    "lines-degree": (lambda: CompleteIntersection(4, (3, 0)), "degrees must be positive integers"),
-    "line-count": (lambda: LineCount.finite(-1), "finite line counts are nonnegative"),
-    "line-family": (lambda: LineCount.family(0), "family dimension must be >= 1"),
-    "fano": (lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1), "twist must be >= 0"),
-    "bounds": (lambda: min_degree(3, 1), "degree bound requires k >= 2"),
-    "min-degree-n": (lambda: min_degree(0, 2), "dimension must be >= 1"),
-    "min-sections-n": (lambda: min_sections(0, 2), "dimension must be >= 1"),
-    "min-sections-k": (lambda: min_sections(3, 1), "section bound requires k >= 2"),
-    "nefvalue-n": (lambda: nefvalue_bound(2, 2), "nefvalue bound requires n >= 3"),
-    "nefvalue-k": (lambda: nefvalue_bound(3, 1), "nefvalue bound requires k >= 2"),
-    "box-product": (lambda: box_product_order(2, -1), "orders must be >= 0"),
-    "curve-floor": (lambda: curve_degree_floor(-1), "order must be >= 0"),
-    "invariants-n": (lambda: PolarizedInvariants(0, 2, 8), "dimension must be >= 1"),
-    "invariants-k": (lambda: PolarizedInvariants(3, -1, 8), "degree bound requires k >= 2"),
-    "invariants-k1": (lambda: PolarizedInvariants(3, 1, 8), "degree bound requires k >= 2"),
-    "invariants-deg": (lambda: PolarizedInvariants(3, 2, 0), "degree must be >= 1"),
-    "invariants-h0": (lambda: PolarizedInvariants(3, 2, 8, -1), "h0 must be >= 0"),
-    "catalog": (lambda: adjunction_cases(2, 2), "adjunction table requires n >= 3"),
-    "catalog-k": (lambda: adjunction_cases(3, 1), "adjunction table requires k >= 2"),
-}
-
-
-@pytest.mark.parametrize("call,message", _VALIDATORS.values(), ids=_VALIDATORS.keys())
-def test_library_validators_raise_input_error(call, message):
-    with pytest.raises(InputError, match="^%s$" % re.escape(message)):
-        call()
-
-
+# A non-int argument to a library number raises TypeError; each row repeats one in its
+# module's test file.
 @pytest.mark.parametrize(
     "call",
     [

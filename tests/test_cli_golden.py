@@ -106,6 +106,11 @@ INPUT_ERRORS = [
     ["chern", "--sym", "\u0663"],  # Arabic-Indic 3, once --sym 3
     ["bounds", "--dim", "3", "--order", "+2"],
     ["chern", "--sym", "-1"],  # parsed, then refused by the library
+    # Library validator messages that no argv above reaches.
+    ["lines", "--ambient", "0", "--degrees", "3"],
+    ["bounds", "--dim", "0", "--order", "2"],
+    ["bounds", "--dim", "3", "--order", "2", "--degree", "0"],
+    ["adjunction", "--dim", "3", "--order", "1"],
 ]
 
 HELP = [["--help"]] + [[sub, "--help"] for sub in SUBCOMMANDS]
