@@ -15,7 +15,9 @@ The adjunction outcome table records which special structures can absorb a
 pair (n, k) before the second reduction exists.  Each outcome is plain data,
 paired with the integer rule on (n, k) that its `constraints` text states
 (Mukai: the nefvalue bound; a special model: its dimension and order, read off
-`CompleteIntersection.dim` and the line rule); side conditions are text.
+`CompleteIntersection.dim` and the line rule, which also write its text); side
+conditions are text.  One enumeration of complete-intersection pairs serves the
+coverage check (K + (n-2)L trivial) and the models of cases i-iv (not nef).
 """
 
 from collections import Counter
@@ -360,8 +362,8 @@ def verify_all(catalog=None) -> CatalogVerification:
     Globally, an id that more than one entry carries fails once, as "<id>: id repeated
     (<count> entries)"; exactly one entry (the double cover) may have k_jet < k_very_ample,
     and its flag follows from that.  The complete-intersection entries' (N, degrees, t) are
-    exactly the Mukai pairs of `_mukai_complete_intersections`, and each missing or extra
-    one fails by its CI; the six other threefolds rest on the Iskovskikh-Mori-Mukai
+    exactly the Mukai pairs, the gap-0 part of `_CI_PAIRS`, and each missing or extra one
+    fails by its CI; the six other threefolds rest on the Iskovskikh-Mori-Mukai
     classification (Iskovskikh, Prokhorov, Fano varieties, 1999), which cannot be
     recomputed here.  Accepts an alternative entry sequence so that fault injection is
     testable.  Faults in an entry's stored values are reported: a value that a library
@@ -389,21 +391,22 @@ def verify_all(catalog=None) -> CatalogVerification:
     if deficient != ["fano3-9"]:
         failures.append("jet-deficiency structure violated: exactly the double-cover entry "
                         "must have k_jet < k_very_ample, got %r" % deficient)
+    mukai = {pair for pair, gap in _CI_PAIRS.items() if not gap}
     failures += sorted("complete-intersection coverage violated: %s with O(%s) is %s"
                        % (CompleteIntersection(N, degrees), _decimal(t),
                           "extra" if (N, degrees, t) in covered else "missing")
-                       for N, degrees, t in covered ^ _mukai_complete_intersections())
+                       for N, degrees, t in covered ^ mukai)
     return CatalogVerification(len(rows), tuple(failures))
 
 
-def _mukai_complete_intersections() -> set:
-    """Every (N, degrees, t) with (CI(degrees) in P^N, O(t)) a Mukai pair, against which
-    `verify_all` holds the (N, degrees, t) it derives from the one-factor presentations:
-    n = N - r >= 3, each degree >= 2 (a degree 1 repeats X in a smaller P^N), t >= 2 and
-    index N + 1 - sum(d) = (n - 2)t.  As 2(n - 2) <= index <= n + 1 - r, n <= 5 - r, N <= 5."""
-    return {(N, ds, t) for N in range(3, 6) for r in range(N - 2)
-            for ds in combinations_with_replacement(range(2, N + 2), r)
-            for t in range(2, N + 2) if N + 1 - sum(ds) == (N - r - 2) * t}
+# Each pair (CI(degrees) in P^N, O(t)) with n = N - r >= 3, each degree >= 2 (a degree 1
+# repeats X in a smaller P^N) and t >= 2, keyed (N, degrees, t), with its gap index - (n-2)t,
+# index = N + 1 - sum(degrees), when K + (n-2)L = O(-gap) is trivial (gap 0: the Mukai pairs,
+# which `verify_all` holds the one-factor presentations to) or not nef (gap > 0: the models of
+# adjunction cases i-iv).  As 2(n-2) <= (n-2)t <= index <= n + 1 - r, n <= 5 - r, N <= 5.
+_CI_PAIRS = {(N, ds, t): gap for N in range(3, 6) for r in range(N - 2)
+             for ds in combinations_with_replacement(range(2, N + 2), r) for t in range(2, N + 2)
+             for gap in (N + 1 - sum(ds) - (N - r - 2) * t,) if gap >= 0}
 
 
 _EXPORTED = ("id", "dim", "description", "ambient", "polarization", "k_jet", "k_very_ample",
@@ -423,43 +426,39 @@ class AdjunctionOutcome(_Record):
     __slots__ = {"case_id": "str", "constraints": "str", "description": "str"}
 
 
-def _model(ci: CompleteIntersection, t: int, extra: int = 0):
-    """Admits (n, k) when n = ci.dim + extra (1 for a fibre or a divisor, one dimension below
-    X) and k is at most the order of O(t) on ci, read once off its lines by `_line_order`."""
+def _model(ci: CompleteIntersection, t: int, case_id: str, description: str, extra: int = 0):
+    """The outcome (ci, O(t)) and its rule: admits (n, k) when n = ci.dim + extra (1 for a fibre
+    or a divisor, one dimension below X) and k is at most the order of O(t) on ci, read once off
+    its lines by `_line_order`; its `constraints` text is written from that n and order."""
     dim, order = ci.dim + extra, _line_order(count_lines(ci), t)
-    return lambda n, k: n == dim and k <= order
+    rule = "n = %d, k = 2" % dim if order == 2 else "n = %d, 2 <= k <= %d" % (dim, order)
+    return AdjunctionOutcome(case_id, rule, description), lambda n, k: n == dim and k <= order
 
 
-# Each outcome with the rule that admits it.  A model row names its complete intersection and
-# twist, and reads its dimension and order off `CompleteIntersection.dim` and the line rule;
-# cases v, vii and 2 take a fibre or a divisor as the model.
-_ADJUNCTION = (
-    (AdjunctionOutcome("i", "n = 3, k = 2",
-                       "(P3, O(2)); here the first reduction carries no information"),
-     _model(CompleteIntersection(3), 2)),
-    (AdjunctionOutcome("ii", "n = 3, 2 <= k <= 3", "(P3, O(3))"),
-     _model(CompleteIntersection(3), 3)),
-    (AdjunctionOutcome("iii", "n = 4, k = 2", "(P4, O(2))"), _model(CompleteIntersection(4), 2)),
-    (AdjunctionOutcome("iv", "n = 3, k = 2", "(Q, O(2)) for a hyperquadric threefold Q in P4"),
-     _model(CompleteIntersection(4, (2,)), 2)),
-    (AdjunctionOutcome("v", "n = 3, k = 2", "fibration over a smooth curve with fibers "
-                       "(P2, O(2)), 2K + 3L pulled back from the base"),
-     _model(CompleteIntersection(2), 2, 1)),
+# Cases i-iv: the pairs on which K + (n-2)L is not nef, in sorted order, each with its id and
+# description under its (N, degrees, t); a pair without one fails here with a KeyError naming it.
+_NOT_NEF = {(3, (), 2): ("i", "(P3, O(2)); here the first reduction carries no information"),
+            (3, (), 3): ("ii", "(P3, O(3))"), (4, (), 2): ("iii", "(P4, O(2))"),
+            (4, (2,), 2): ("iv", "(Q, O(2)) for a hyperquadric threefold Q in P4")}
+
+# Each outcome with the rule that admits it; cases v, vii and 2 model a fibre or a divisor.
+_ADJUNCTION = tuple(_model(CompleteIntersection(N, ds), t, *_NOT_NEF[N, ds, t])
+                    for (N, ds, t), gap in sorted(_CI_PAIRS.items()) if gap > 0) + (
+    _model(CompleteIntersection(2), 2, "v", "fibration over a smooth curve with fibers "
+           "(P2, O(2)), 2K + 3L pulled back from the base", extra=1),
     (AdjunctionOutcome("vi", "n in {4, 5} with k = 2, or n = 3 with 2 <= k <= 4",
                        "Mukai pair: K = -(n-2)L; the nefvalue bound (n+1)/k >= n-2 "
                        "forces these (n, k)"),
      _mukai_order),
-    (AdjunctionOutcome("vii", "n = 4, k = 2", "Del Pezzo fibration over a smooth curve with "
-                       "general fibers (P3, O(2))"),
-     _model(CompleteIntersection(3), 2, 1)),
+    _model(CompleteIntersection(3), 2, "vii", "Del Pezzo fibration over a smooth curve with "
+           "general fibers (P3, O(2))", extra=1),
     (AdjunctionOutcome("reduction", "any n >= 3, k >= 2", "first reduction is an isomorphism "
                        "and the second reduction (Z, D) exists"),
      lambda n, k: True),
     (AdjunctionOutcome("1", "n >= 4", "second reduction is an isomorphism: X = Z"),
      lambda n, k: n >= 4),
-    (AdjunctionOutcome("2", "n = 3, k = 2", "second reduction may contract divisors D = P2 "
-                       "with L|_D = O(2) and O_D(D) = O(-1); Z stays smooth"),
-     _model(CompleteIntersection(2), 2, 1)),
+    _model(CompleteIntersection(2), 2, "2", "second reduction may contract divisors D = P2 "
+           "with L|_D = O(2) and O_D(D) = O(-1); Z stays smooth", extra=1),
 )
 
 

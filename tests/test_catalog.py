@@ -4,9 +4,9 @@ import re
 import pytest
 
 from fanojet.catalog import (
+    _CI_PAIRS,
     _adjunction,
     _model,
-    _mukai_complete_intersections,
     adjunction_cases,
     catalog_as_dicts,
     entries,
@@ -207,16 +207,21 @@ def test_a_repeated_entry_is_reported_once_by_its_id(repeated):
 
 def test_mukai_complete_intersections_are_the_six_entries_and_no_more():
     stored = {(ci.N, ci.degrees, t) for ci, t in map(_ci_and_twist, COMPLETE_INTERSECTIONS)}
-    assert _mukai_complete_intersections() == stored and len(stored) == 6
-    # Past N = 5 no (N, r, t) admits degrees >= 2 summing to N + 1 - (n - 2)t, n = N - r.
-    admitted = set()
-    for N in range(3, 60):
+    assert {pair for pair, gap in _CI_PAIRS.items() if gap == 0} == stored and len(stored) == 6
+    # Past N = 5 no (N, r, t) admits degrees >= 2 summing to N + 1 - (n - 2)t, n = N - r, and
+    # past N = 4 none summing to less (K + (n-2)L not nef): that side is the four models i-iv.
+    trivial, not_nef = set(), set()
+    for N in range(3, 120):
         for r in range(N - 2):
             for t in range(2, N + 2):
                 rest = N + 1 - (N - r - 2) * t
                 if rest == 0 if r == 0 else rest >= 2 * r:
-                    admitted.add((N, r, t))
-    assert admitted == {(N, len(ds), t) for N, ds, t in stored}
+                    trivial.add((N, r, t))
+                if rest > 2 * r:
+                    not_nef.add((N, r, t))
+    assert trivial == {(N, len(ds), t) for N, ds, t in stored}
+    assert not_nef == {(N, len(ds), t) for (N, ds, t), gap in _CI_PAIRS.items() if gap > 0}
+    assert not_nef == {(3, 0, 2), (3, 0, 3), (4, 0, 2), (4, 1, 2)}
 
 
 # Faults that no check sees yet: the stored spanned order of an entry that is not a
@@ -379,10 +384,12 @@ def test_adjunction_cases_are_built_once():
 
 def test_a_model_reads_its_dimension_and_order_off_the_complete_intersection():
     # models outside the table: the quadric threefold with O(3), and P2 with O(2) as a fibre
-    quadric = _model(CompleteIntersection(4, (2,)), 3)
-    assert quadric(3, 3) and not quadric(3, 4)
-    fibre = _model(CompleteIntersection(2), 2, 1)
-    assert fibre(3, 2) and not fibre(4, 2) and not fibre(3, 3)
+    quadric, admits = _model(CompleteIntersection(4, (2,)), 3, "q", "(Q, O(3))")
+    assert quadric.constraints == "n = 3, 2 <= k <= 3"
+    assert admits(3, 3) and not admits(3, 4)
+    fibre, admits = _model(CompleteIntersection(2), 2, "f", "(P2, O(2)) fibre", extra=1)
+    assert fibre.constraints == "n = 3, k = 2"
+    assert admits(3, 2) and not admits(4, 2) and not admits(3, 3)
 
 
 def test_adjunction_antitone_in_k():

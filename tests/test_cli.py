@@ -19,19 +19,10 @@ from hypothesis import given, settings, strategies as st
 
 import fanojet
 from fanojet import catalog
-from fanojet.bounds import (
-    PolarizedInvariants,
-    box_product_order,
-    check,
-    curve_degree_floor,
-    min_degree,
-    min_sections,
-    nefvalue_bound,
-)
-from fanojet.catalog import adjunction_cases
+from fanojet.bounds import PolarizedInvariants, check
 from fanojet.chern import ChernPolynomial, sym_top_chern, sym_top_chern_oracle
 from fanojet.cli import TEXT_VIEWS, build_parser, run
-from fanojet.fano import analyze, anticanonical_degree, degree_of_twist, h0_of_twist
+from fanojet.fano import analyze, anticanonical_degree
 from fanojet.lines import CompleteIntersection, LineCount, count_lines
 from fanojet.schubert import sigma
 
@@ -136,34 +127,6 @@ def test_fano_without_a_line_exits_1(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("internal check failed: no line on the Fano ")
-
-
-# A non-int argument to a library number raises TypeError; each row repeats one in its
-# module's test file.
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: LineCount.finite(2.5),
-        lambda: LineCount.family(2.0),
-        lambda: degree_of_twist(CompleteIntersection(4, (3,)), 2.0),    # once 24.0
-        lambda: h0_of_twist(CompleteIntersection(3, (2,)), -1.0),       # type before domain
-        lambda: min_degree(2.5, 2),                                     # once 5.656...
-        lambda: min_sections(3.0, 2),                                   # once 7.0
-        lambda: nefvalue_bound(5, True),
-        lambda: box_product_order(True, 2),                             # once True
-        lambda: curve_degree_floor(2.5),                                # once 2.5
-        lambda: adjunction_cases(3.0, 2.0),
-        lambda: catalog.entries(n=3.0),                                 # once the 10 threefolds
-        lambda: catalog.entries(n=True),                                # once []
-        lambda: catalog.entries(k=2.0),
-    ],
-    ids=["finite", "family", "degree-twist", "h0-twist", "min-degree", "min-sections",
-         "nefvalue", "box-product", "curve-floor", "adjunction", "entries-n",
-         "entries-n-bool", "entries-k"],
-)
-def test_library_numbers_reject_non_int(call):
-    with pytest.raises(TypeError):
-        call()
 
 
 @pytest.mark.parametrize("argv", REPORTS, ids=" ".join)
