@@ -1,22 +1,32 @@
 """Oracles for the test suite.
 
-Each is written against a different algorithm than the library: the free
-two-row Schur ring with the closed Littlewood-Richardson rule, coefficient
-extraction through the bialternant, direct monomial enumeration and running
-sums of the series for Hilbert functions, and the splitting principle over the
-roots in (x, y).  The library's oracle expands the same root product in
-s = x + y and w = x - y, and rewrites it by a Taylor shift;
-`sym_top_roots_in_chern` (root by root, then leading-term elimination) and
-`unpaired_sym_top_chern` (root by root, then binomial peeling) stay in (x, y),
-so they check it independently.  Nothing here imports library code.
+Each is written against a different algorithm than the library:
+- the free two-row Schur ring with the closed Littlewood-Richardson rule;
+- the bialternant coefficient extraction for line counts;
+- direct monomial enumeration for Hilbert functions, and tableau counting for the
+  coordinate ring of G(2, n);
+- the splitting principle over the roots in (x, y): `unpaired_sym_top_chern`
+  multiplies out the root product and rewrites it in c1, c2 by binomial peeling.
+  The library's oracle expands the same product in s = x + y and w = x - y and
+  rewrites it by a Taylor shift, so this checks it by another route.
+
+Three routes come from the benchmark's `perfbench/reference.py`, under the names
+the tests import: `catalan`, `hilbert_series_h0` (the Hilbert series of a
+complete intersection) and `chern_identity_holds` (a c1, c2 polynomial against
+the root product, at d + 2 points).  Each route is written once, except the
+bialternant: `reference` has its own copy, without the c1 power that the tests
+of line families need.  Nothing here, and nothing in `reference`, imports
+library code.
 """
 
+import sys
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import comb
+from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-def catalan(k: int) -> int:
-    return factorial(2 * k) // (factorial(k) * factorial(k + 1))
+from reference import catalan, chern_identity_holds, h0 as hilbert_series_h0  # noqa: E402, F401
 
 
 def degree_tuples(r: int, dmax: int) -> list:
@@ -69,12 +79,12 @@ def free_line_integral(N: int, degrees) -> int:
     """Free-ring-then-truncate route for the line count integral."""
     acc = {(0, 0): 1}
     for d in degrees:
-        acc = free_mul(acc, free_from_chern(sym_top_roots_in_chern(d)))
+        acc = free_mul(acc, free_from_chern(unpaired_sym_top_chern(d)))
     return free_point_coefficient(acc, N + 1)
 
 
 # ---------------------------------------------------------------------------
-# splitting principle, redone from scratch over the two roots
+# splitting principle over the two roots
 
 def _xy_mul(p: dict, q: dict) -> dict:
     out: dict = {}
@@ -83,28 +93,6 @@ def _xy_mul(p: dict, q: dict) -> dict:
             key = (i + k, j + l)
             out[key] = out.get(key, 0) + a * b
     return {k: v for k, v in out.items() if v}
-
-
-def sym_top_roots_in_chern(d: int) -> dict:
-    """c_(d+1)(Sym^d) as {(i, j): coeff} for c1^i c2^j, via the roots."""
-    p = {(0, 0): 1}
-    for t in range(d + 1):
-        p = _xy_mul(p, {(1, 0): t, (0, 1): d - t})
-    # rewrite in e1, e2 by leading-term elimination
-    out: dict = {}
-    while p:
-        i, j = max(p)
-        assert i >= j, "not symmetric"
-        c = p[(i, j)]
-        for k in range(i - j + 1):
-            key = (j + k, i - k)
-            v = p.get(key, 0) - c * comb(i - j, k)
-            if v:
-                p[key] = v
-            else:
-                p.pop(key, None)
-        out[(i - j, j)] = out.get((i - j, j), 0) + c
-    return out
 
 
 def unpaired_sym_top_chern(d: int) -> dict:
@@ -199,20 +187,3 @@ def ssyt_two_row_count(t: int, max_entry: int) -> int:
             if all(hi > lo for lo, hi in zip(top, bottom)):
                 count += 1
     return count
-
-
-def hilbert_series_h0(N: int, degrees, t: int) -> int:
-    """[s^t] of prod_i (1 - s^(d_i)) / (1 - s)^(N+1), the Hilbert series of a
-    complete intersection of the given degrees in P^N.
-
-    The numerator is multiplied out truncated at s^t, and each factor
-    1 / (1 - s) is applied as a running sum, so no binomial appears.
-    """
-    series = [1] + [0] * t
-    for d in degrees:
-        for k in range(t, d - 1, -1):
-            series[k] -= series[k - d]
-    for _ in range(N + 1):
-        for k in range(1, t + 1):
-            series[k] += series[k - 1]
-    return series[t]

@@ -89,6 +89,15 @@ def test_import_fanojet_loads_no_submodule():
     assert _loaded_in_fresh_interpreter("import fanojet") == {"fanojet"}
 
 
+def test_oracles_load_no_library_module():
+    # The oracles, and the benchmark's reference routes that they import, check the library
+    # by other routes, so they may not run its code; the library stays importable here.
+    root = Path(__file__).resolve().parents[1]
+    code = "import sys\nsys.path[:0] = [%r, %r]\nimport oracles" % (
+        str(root / "tests"), str(root / "perfbench"))
+    assert not {m for m in _loaded_in_fresh_interpreter(code) if m.startswith("fanojet")}
+
+
 CLI_CORE = {"fanojet", "fanojet.cli", "fanojet.chern"}  # chern defines InputError
 ALL_BUT_SCHUBERT = CLI_CORE | {"fanojet." + m for m in MODULES if m != "schubert"}
 
