@@ -6,17 +6,17 @@ Each is written against a different algorithm than the library:
 - direct monomial enumeration for Hilbert functions, and tableau counting for the
   coordinate ring of G(2, n);
 - the splitting principle over the roots in (x, y): `unpaired_sym_top_chern`
-  multiplies out the root product and rewrites it in c1, c2 by binomial peeling.
+  rewrites the root product in c1, c2 by binomial peeling.
   The library's oracle expands the same product in s = x + y and w = x - y and
   rewrites it by a Taylor shift, so this checks it by another route.
 
-Three routes come from the benchmark's `perfbench/reference.py`, under the names
-the tests import: `catalan`, `hilbert_series_h0` (the Hilbert series of a
-complete intersection) and `chern_identity_holds` (a c1, c2 polynomial against
-the root product, at d + 2 points).  Each route is written once, except the
-bialternant: `reference` has its own copy, without the c1 power that the tests
-of line families need.  Nothing here, and nothing in `reference`, imports
-library code.
+Every route is written once.  Four come from the benchmark's
+`perfbench/reference.py`, under the names the tests import: `catalan`,
+`hilbert_series_h0` (the Hilbert series of a complete intersection),
+`chern_identity_holds` (a c1, c2 polynomial against the root product, at d + 2
+points) and `_root_product` (the coefficients of prod_i prod_t (t x + (d_i - t) y),
+which the bialternant and `unpaired_sym_top_chern` start from).  Nothing here,
+and nothing in `reference`, imports library code.
 """
 
 import sys
@@ -26,7 +26,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
-from reference import catalan, chern_identity_holds, h0 as hilbert_series_h0  # noqa: E402, F401
+from reference import (_root_product, catalan, chern_identity_holds,  # noqa: E402, F401
+                       h0 as hilbert_series_h0)
 
 
 def degree_tuples(r: int, dmax: int) -> list:
@@ -96,12 +97,9 @@ def _xy_mul(p: dict, q: dict) -> dict:
 
 
 def unpaired_sym_top_chern(d: int) -> dict:
-    """c_(d+1)(Sym^d) as {(i, j): coeff}: one linear sweep per root over the
-    whole list, then `binomial_peel_rewrite`."""
-    xy = [1]
-    for t in range(d + 1):
-        xy = [t * p + (d - t) * q for p, q in zip(xy + [0], [0] + xy)]
-    return binomial_peel_rewrite(xy)
+    """c_(d+1)(Sym^d) as {(i, j): coeff}: the root product of degree d + 1, untruncated,
+    then `binomial_peel_rewrite`."""
+    return binomial_peel_rewrite(_root_product(d + 1, (d,)))
 
 
 def binomial_peel_rewrite(xy: list) -> dict:
@@ -133,14 +131,13 @@ def bialternant_line_count(N: int, degrees, c1_power: int = 0) -> int:
     Schubert-basis bookkeeping.  With c1_power = delta it is the Pluecker
     degree of a delta-dimensional family of lines.
     """
-    p = {(0, 0): 1}
-    for _ in range(c1_power):
-        p = _xy_mul(p, {(1, 0): 1, (0, 1): 1})
-    for d in degrees:
-        for t in range(d + 1):
-            p = _xy_mul(p, {(1, 0): t, (0, 1): d - t})
-    p = _xy_mul(p, {(1, 0): 1, (0, 1): -1})
-    return p.get((N, N - 1), 0)
+    if c1_power + sum(d + 1 for d in degrees) != 2 * N - 2:
+        return 0  # a form of another degree has no x^N y^(N-1) term
+    # The root product's x^k coefficients, k <= N, times the binomial row of (x + y)^c1_power
+    roots = _root_product(N, degrees) + [0] * N
+    g = [sum(comb(c1_power, i) * roots[k - i] for i in range(min(k, c1_power) + 1))
+         for k in (N - 1, N)]
+    return g[0] - g[1]
 
 
 # ---------------------------------------------------------------------------
