@@ -11,12 +11,12 @@ e2 = x*y = c2.  Pairing the roots t and d - t gives the closed form
 
     d^2 * c2 * prod_{t=1}^{floor((d-1)/2)} (t(d-t) c1^2 + (d-2t)^2 c2)
 
-with an extra factor (d/2) c1 when d is even.  A widely printed variant of
-this product carries the boundary coefficient (d+1)^2 instead of d^2; it is
-kept here as `sym_top_chern_paper` purely for comparison and is never used
-downstream, since the splitting-principle expansion pins the coefficient to
-d^2 (the roots t = 0 and t = d contribute d*y and d*x, whose product is
-d^2 * c2).  The two variants differ by the exact scalar (d+1)^2 / d^2.
+with an extra factor (d/2) c1 when d is even.  A widely printed variant of this
+product carries the boundary coefficient (d+1)^2 instead of d^2; it is kept as
+`sym_top_chern_paper` for comparison only and never used downstream, since the
+splitting-principle expansion pins the coefficient to d^2 (the roots t = 0 and t = d
+contribute d*y and d*x, whose product is d^2 * c2).  It is the canonical class times
+(d+1)^2 / d^2, exactly: the pair factors and d/2 have integer coefficients.
 
 Both routes keep binary forms in (u, v) as lists [coefficient of u^(n-j) v^j]
 and take two factors per pass, the odd one out first; they share no kernel.  The
@@ -333,15 +333,15 @@ def _product_of_powers(powers) -> ChernPolynomial:
     return value
 
 
-def _paired_product(d: int, boundary: int) -> ChernPolynomial:
-    """Closed form d-th symmetric power top class with a chosen boundary coefficient.
+def _paired_product(d: int) -> ChernPolynomial:
+    """Closed form of the d-th symmetric power top class, boundary coefficient d^2.
 
     Two pair factors go per pass, as one quadratic in (c1^2, c2); t = 1 starts an odd count.
-    Each quadratic loses its content gcd, kept with boundary * (d/2)^even in one final scale.
+    Each quadratic loses its content gcd, kept with d^2 * (d/2)^even in one final scale.
     """
     _at_least(d, 1, "symmetric power exponent", "symmetric power exponent must be >= 1")
     even = 1 - d % 2  # even d carries one more factor (d/2) c1
-    pairs, scale = (d - 1) // 2, boundary * (d // 2) ** even
+    pairs, scale = (d - 1) // 2, d * d * (d // 2) ** even
     form = [d - 1, (d - 2) ** 2] if pairs % 2 else [1]  # a binary form in (c1^2, c2)
     for t in range(1 + pairs % 2, pairs, 2):
         a1, a2, b1, b2 = t * (d - t), (t + 1) * (d - t - 1), (d - 2 * t) ** 2, (d - 2 * t - 2) ** 2
@@ -355,11 +355,13 @@ def _paired_product(d: int, boundary: int) -> ChernPolynomial:
 
 
 def sym_top_chern_paper(d: int) -> ChernPolynomial:
-    """The printed closed-form variant with boundary coefficient (d+1)^2.
-
-    Kept for comparison only; equals (d+1)^2/d^2 times `sym_top_chern(d)`.
-    """
-    return _paired_product(d, (d + 1) ** 2)
+    """The printed closed-form variant with boundary coefficient (d+1)^2, for comparison only:
+    `sym_top_chern(d)` times (d+1)^2 / d^2.  Each coefficient is a multiple of d^2, as d^2 c2
+    divides the closed form; ArithmeticError if one is not."""
+    canonical, square = sym_top_chern(d).terms, d * d
+    if any(c % square for c in canonical.values()):
+        raise ArithmeticError("d^2 does not divide a coefficient of Sym^%d's top class" % d)
+    return ChernPolynomial._like({k: c // square * (d + 1) ** 2 for k, c in canonical.items()})
 
 
 def sym_top_chern_oracle(d: int) -> ChernPolynomial:
@@ -416,7 +418,7 @@ def sym_top_chern(d: int) -> ChernPolynomial:
     checked term-for-term against the splitting-principle expansion on every
     call; disagreement would be a bug, not a result.
     """
-    value = _paired_product(d, d * d)
+    value = _paired_product(d)
     if value != sym_top_chern_oracle(d):
         raise AssertionError(
             "closed form and splitting-principle expansion disagree at d=%d" % d

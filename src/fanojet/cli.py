@@ -147,11 +147,11 @@ def _cmd_adjunction(args) -> tuple[dict, int]:
 def _cmd_chern(args) -> tuple[dict, int]:
     from .chern import sym_top_chern, sym_top_chern_paper
     result = {"sym": args.sym, **_chern_fields(sym_top_chern(args.sym))}
-    if args.paper_formula:
-        from fractions import Fraction
-        ratio = Fraction((args.sym + 1) ** 2, args.sym ** 2)
-        alt = _chern_fields(sym_top_chern_paper(args.sym))
-        result["alternative"] = dict(alt, ratio_to_canonical=str(ratio))
+    if args.paper_formula:  # (d+1)^2 / d^2 is in lowest terms, as gcd(d, d+1) = 1
+        d = args.sym
+        ratio = "%d/%d" % ((d + 1) ** 2, d * d) if d > 1 else "4"
+        alt = _chern_fields(sym_top_chern_paper(d))
+        result["alternative"] = dict(alt, ratio_to_canonical=ratio)
     inputs = {"sym": args.sym, "paper_formula": args.paper_formula}
     return _report("chern", inputs, result, [CITE_SPLITTING])
 

@@ -64,14 +64,15 @@ def test_closed_form_equals_unpaired_route(d):
     # The closed form on its own, not only through sym_top_chern's comparison.  Both
     # routes take two factors per pass, starting with the odd one out; d runs over every
     # residue mod 4, so each parity of d meets each parity of the factor count.
-    assert dict(chern._paired_product(d, d * d).terms) == _unpaired(d)
+    assert dict(chern._paired_product(d).terms) == _unpaired(d)
 
 
 @pytest.mark.parametrize("d", [5, 6, 277])
 def test_printed_boundary_in_closed_form_trips_the_check(monkeypatch, d):
-    # The fault enters on the closed-form side: the printed (d+1)^2 in place of d^2.
-    paired = chern._paired_product
-    monkeypatch.setattr(chern, "_paired_product", lambda e, boundary: paired(e, (e + 1) ** 2))
+    # The fault enters on the closed-form side: the printed class, boundary (d+1)^2, in
+    # place of the canonical one, boundary d^2.
+    printed = sym_top_chern_paper(d)
+    monkeypatch.setattr(chern, "_paired_product", lambda e: printed)
     message = "closed form and splitting-principle expansion disagree at d=%d" % d
     sym_top_chern.cache_clear()
     try:
@@ -149,8 +150,9 @@ def test_printed_variant_scalar_relation(d):
 
 @pytest.mark.parametrize("d", range(1, 301))
 def test_all_coefficients_positive(d):
-    # Pins what a size bound can rest on: the largest coefficient is at most P(1, 1).
-    assert all(c > 0 for c in sym_top_chern(d).terms.values())
+    # Pins what a size bound can rest on: the largest coefficient is at most P(1, 1).  Each
+    # is a multiple of d^2, which `sym_top_chern_paper` divides out exactly.
+    assert all(c > 0 and c % (d * d) == 0 for c in sym_top_chern(d).terms.values())
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -309,8 +311,9 @@ def test_cross_terms_at_the_bit_boundary_cancel(total):
 
 @pytest.mark.parametrize("d", range(1, 61))
 def test_sym_top_classes_pass_the_checks_they_skip(d):
-    _assert_checked(chern._paired_product(d, d * d))
+    _assert_checked(chern._paired_product(d))
     _assert_checked(sym_top_chern_oracle(d))
+    _assert_checked(sym_top_chern_paper(d))
 
 
 @settings(max_examples=60, deadline=None)

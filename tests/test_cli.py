@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fanojet
-from fanojet import catalog
+from fanojet import catalog, chern
 from fanojet.bounds import PolarizedInvariants, check
 from fanojet.chern import ChernPolynomial, sym_top_chern, sym_top_chern_oracle
 from fanojet.cli import TEXT_VIEWS, build_parser, run
@@ -103,6 +103,31 @@ def test_closed_form_and_oracle_disagreement_exits_1(capsys, monkeypatch):
     finally:
         sym_top_chern.cache_clear()
     assert capsys.readouterr() == ("", "internal check failed: %s\n" % message)
+
+
+def test_printed_variant_off_a_multiple_of_d_squared_exits_1(capsys, monkeypatch):
+    # The printed variant divides the canonical class by d^2; a coefficient that d^2 does not
+    # divide trips the exactness check, in the library and via run(), before any output.
+    message = "d^2 does not divide a coefficient of Sym^5's top class"
+    canonical = sym_top_chern
+    monkeypatch.setattr(chern, "sym_top_chern", lambda d: canonical(d) + ChernPolynomial.c2())
+    with pytest.raises(ArithmeticError, match="^%s$" % re.escape(message)):
+        chern.sym_top_chern_paper(5)
+    assert run(["chern", "--sym", "5", "--paper-formula"]) == 1
+    assert capsys.readouterr() == ("", "internal check failed: %s\n" % message)
+
+
+def test_paper_formula_runs_the_closed_form_once(capsys, monkeypatch):
+    # The printed variant is the cached canonical class rescaled, not a second closed form.
+    calls, paired = [], chern._paired_product
+    monkeypatch.setattr(chern, "_paired_product", lambda *a: calls.append(a) or paired(*a))
+    sym_top_chern.cache_clear()
+    try:
+        assert run(["chern", "--sym", "7", "--paper-formula"]) == 0
+    finally:
+        sym_top_chern.cache_clear()
+    assert calls == [(7,)]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("sign", [0, -1], ids=["zero", "negated"])

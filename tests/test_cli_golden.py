@@ -127,7 +127,8 @@ def capture(argv):
 
 # Each pinned by the sha256 of stdout or by one line of it: the digit-limit reports (N = 1,400,
 # n = 20,000), line classes that are one power of one factor (49 cubics) and that square both
-# factors (twelve 12s, six 6s), Sym^600 and the prime Sym^557, and the count at N = 140.
+# factors (twelve 12s, six 6s), Sym^600 and the prime Sym^557, each also with the printed
+# variant, whose scale (d+1)^2 / d^2 is not trivial there, and the count at N = 140.
 PINS = {
     "fano-ci": (["fano-ci", "--ambient", "1400", "--degrees", "2", "--json"],
                 "05a7d7d9a1599a150d0f453a7bb90582440132e7f5285ced93a36a909271cce3"),
@@ -142,6 +143,10 @@ PINS = {
                   "a21ad9ccc0835fd1d1552d19abf142e19186b530ba0865435772c68c851048fd"),
     "chern-557": (["chern", "--sym", "557", "--json"],
                   "acdcfcae57cc407c8540d224fed8943f8e3f1c5a5cbab93f4d92c6680c2d42b5"),
+    "chern-600-paper": (["chern", "--sym", "600", "--paper-formula", "--json"],
+                        "95b16a4036f7fd67e4f0620e0af74d7c5cfdf4dbdb59d17a22926786e8718043"),
+    "chern-557-paper": (["chern", "--sym", "557", "--paper-formula", "--json"],
+                        "3df8e05aafbb8855c4d0cd4f1f629030257969e8715511ad5143ac694e393576"),
     "lines-140": (["lines", "--ambient", "140", "--degrees", "277"], "result: finite count "
         "64454789123735615230471500472261254048643670696060037923658419575660866713100801964509616"
         "73968353381291543572137231373290499826480202774413096287051790265659066132843590121762395"
